@@ -27,7 +27,7 @@ config = hz.SweepConfig.from_dict(
     }
 )
 
-print("running 15 trials (5 seeds x 3 sizes); this takes ~15 seconds...")
+print("running 15 trials (5 seeds x 3 sizes); this takes a few seconds...")
 rows = hz.sweep(config, parallel=1)
 
 print()

@@ -274,7 +274,7 @@ def _cmd_verify(args) -> int:
     if args.cds is not None:
         with open(args.cds) as fh:
             ids = [int(tok) for tok in fh.read().split()]
-        cds = rule2.GatewaySet(members=tuple(sorted(set(ids))))
+        cds = rule2.GatewaySet(members=tuple(sorted(ids)))
         source = "file"
     else:
         cds = rule2.prune(g)

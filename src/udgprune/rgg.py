@@ -1,10 +1,12 @@
 """Random point sets in a square and the induced unit disk graph.
 
 Vertices carry 1-based integer IDs; ID order is the total order the
-pruning rule uses.  Adjacency joins vertices at Euclidean distance <= 1
-and is built from unit-side grid buckets so each radius-1 query touches
-at most a 3x3 block of cells.  A constructed graph is immutable and safe
-to share across workers.
+pruning rule uses.  Adjacency joins vertices at Euclidean distance <= 1.
+It is built by a cell join: the points are sorted by unit-side cell, and
+each cell is joined with itself and four of its neighbours through
+``searchsorted`` ranges, so a radius-1 query touches at most a 3x3 block
+of cells and no Python loop runs per cell.  A constructed graph is
+immutable and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class UnitDiskGraph:
     edges: np.ndarray
     nbr_flat: np.ndarray = field(repr=False)
     nbr_offsets: np.ndarray = field(repr=False)
-    grid: dict = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -87,20 +88,35 @@ class UnitDiskGraph:
         return np.sort(np.append(self.neighbors(vid), vid))
 
 
-def _cell_coords(points: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray, int]:
-    ncell = int(math.floor(side)) + 1
-    cx = np.clip(np.floor(points[:, 0]).astype(np.int64), 0, ncell - 1)
-    cy = np.clip(np.floor(points[:, 1]).astype(np.int64), 0, ncell - 1)
-    return cx, cy, ncell
+def _sq_dist(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``dx * dx + dy * dy``, computed in place: the result is ``dx``, and
+    ``dy`` is overwritten too.
+
+    This is the one float expression of adjacency: vertices are adjacent
+    when it is <= 1.  `build_udg` joins vertices with it and Rule 2 tests
+    coverage with it, so "a covers x" and "a is adjacent to x" agree to
+    the last bit.
+    """
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+# candidate pairs per filtering pass; bounds transient memory in dense habitats
+_JOIN_BLOCK = 4_000_000
 
 
 def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None) -> UnitDiskGraph:
     """Build the unit disk graph on ``points`` (edge iff distance <= 1).
 
-    Candidate pairs come from each grid cell joined with itself and with
-    four of its eight neighbors (E, NE, N, NW), which covers every 3x3
-    neighborhood exactly once; candidates are then filtered on squared
-    distance so no square root is taken.
+    The points are sorted by unit-cell key, and each point is joined with
+    the points after it in its own cell and with every point of its E, NE,
+    N and NW cells, which covers each pair of neighbouring cells exactly
+    once.  The cell ranges come from ``searchsorted`` on the sorted keys,
+    so no Python loop runs over cells or points.  Candidates are filtered
+    on squared distance, no square root is taken, and ``edges`` comes out
+    in lexicographic (i, j) order.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -111,51 +127,52 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None)
         raise ValueError("some points lie outside the square")
 
     n = len(points)
-    cx, cy, _ = _cell_coords(points, square.side)
-    grid: dict[tuple[int, int], np.ndarray] = {}
-    order = np.lexsort((cy, cx))
-    scx, scy = cx[order], cy[order]
-    boundaries = np.flatnonzero((np.diff(scx) != 0) | (np.diff(scy) != 0)) + 1
-    for chunk in np.split(order, boundaries):
-        grid[(int(cx[chunk[0]]), int(cy[chunk[0]]))] = chunk
+    ncell = int(math.floor(square.side)) + 1
+    cx = np.clip(np.floor(points[:, 0]).astype(np.int64), 0, ncell - 1)
+    cy = np.clip(np.floor(points[:, 1]).astype(np.int64), 0, ncell - 1)
+    # column stride ncell + 1 leaves an empty key above each column's top
+    # cell, so the N, NE and NW offsets never wrap into the next column
+    stride = ncell + 1
+    key = cx * stride + cy
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    sx, sy = points[order].T.copy()
 
-    src_parts, dst_parts = [], []
-    for (gx, gy), idx in grid.items():
-        k = len(idx)
-        if k > 1:
-            iu, ju = np.triu_indices(k, 1)
-            src_parts.append(idx[iu])
-            dst_parts.append(idx[ju])
-        for ox, oy in ((1, 0), (1, 1), (0, 1), (-1, 1)):
-            nb = grid.get((gx + ox, gy + oy))
-            if nb is not None:
-                src_parts.append(np.repeat(idx, len(nb)))
-                dst_parts.append(np.tile(nb, k))
+    # partner slot ranges [lo, hi) in sorted order, one per point and
+    # joined cell: the rest of its own cell, then the E, NE, N, NW cells
+    pos = np.arange(n, dtype=np.int64)
+    lo = [pos + 1]
+    hi = [np.searchsorted(skey, skey, side="right")]
+    for offset in (stride, stride + 1, 1, 1 - stride):
+        lo.append(np.searchsorted(skey, skey + offset, side="left"))
+        hi.append(np.searchsorted(skey, skey + offset, side="right"))
+    lo = np.concatenate(lo)
+    count = np.concatenate(hi) - lo
+    owner = np.tile(pos, 5)
 
-    if src_parts:
-        si = np.concatenate(src_parts)
-        sj = np.concatenate(dst_parts)
-        kept_lo, kept_hi = [], []
-        block = 4_000_000  # bound transient memory in dense habitats
-        for start in range(0, len(si), block):
-            bi = si[start : start + block]
-            bj = sj[start : start + block]
-            d2 = np.sum((points[bi] - points[bj]) ** 2, axis=1)
-            keep = d2 <= 1.0
-            kept_lo.append(np.minimum(bi[keep], bj[keep]))
-            kept_hi.append(np.maximum(bi[keep], bj[keep]))
-        edges = np.column_stack([np.concatenate(kept_lo), np.concatenate(kept_hi)])
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+    codes = []
+    part_of = (np.cumsum(count) - count) // _JOIN_BLOCK
+    for part in np.split(np.arange(len(count)), np.flatnonzero(np.diff(part_of)) + 1):
+        c = count[part]
+        si = np.repeat(owner[part], c)
+        sj = np.repeat(lo[part] - (np.cumsum(c) - c), c) + np.arange(int(c.sum()))
+        dx = sx[si]
+        dx -= sx[sj]
+        dy = sy[si]
+        dy -= sy[sj]
+        keep = _sq_dist(dx, dy) <= 1.0
+        i, j = order[si[keep]], order[sj[keep]]
+        codes.append(np.minimum(i, j) * n + np.maximum(i, j))
+    codes = np.sort(np.concatenate(codes))
+    edges = np.column_stack([codes // n, codes % n])
 
     # CSR adjacency with per-vertex sorted 1-based neighbor IDs
-    both_src = np.concatenate([edges[:, 0], edges[:, 1]])
-    both_dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    deg = np.bincount(both_src, minlength=n)
+    deg = np.bincount(edges[:, 0], minlength=n) + np.bincount(edges[:, 1], minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=offsets[1:])
-    sort_key = np.lexsort((both_dst, both_src))
-    nbr_flat = (both_dst[sort_key] + 1).astype(np.int64)
+    both = np.concatenate([codes, edges[:, 1] * n + edges[:, 0]])
+    both.sort()
+    nbr_flat = both % n + 1
 
     return UnitDiskGraph(
         points=points,
@@ -164,7 +181,6 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None)
         edges=edges,
         nbr_flat=nbr_flat,
         nbr_offsets=offsets,
-        grid=grid,
     )
 
 
@@ -172,7 +188,7 @@ def brute_force_edges(points: np.ndarray) -> np.ndarray:
     """All-pairs adjacency oracle: (m, 2) sorted index pairs with d <= 1."""
     points = np.asarray(points, dtype=float)
     n = len(points)
-    # same float expression as the grid path so the comparison is exact
+    # the same float expression as `_sq_dist`, so the comparison is exact
     pi, pj = np.triu_indices(n, 1)
     d2 = np.sum((points[pi] - points[pj]) ** 2, axis=1)
     keep = d2 <= 1.0
@@ -223,6 +239,8 @@ def load_graph(path) -> UnitDiskGraph:
             vid = int(parts[0])
             if not 1 <= vid <= n:
                 raise ValueError(f"vertex id {vid} out of range 1..{n} in {path}")
+            if seen[vid - 1]:
+                raise ValueError(f"vertex id {vid} appears twice in {path}")
             points[vid - 1] = (float(parts[1]), float(parts[2]))
             seen[vid - 1] = True
         if not seen.all():

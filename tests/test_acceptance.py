@@ -253,7 +253,7 @@ def test_c06_cds_correctness():
 
 
 def test_c07_adjacency_oracle():
-    """Grid-bucketed adjacency equals all-pairs brute force on 50 graphs
+    """Cell-join adjacency equals all-pairs brute force on 50 graphs
     up to n=3000."""
     t0 = time.time()
     rng = np.random.default_rng(derived_seed(MASTER, 70))

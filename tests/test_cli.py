@@ -82,6 +82,18 @@ class TestVerify:
         cds.write_text("1 2 99999")
         assert main(["verify", "--graph", str(graph_file), "--cds", str(cds)]) == 1
 
+    def test_duplicate_cds_member_exits_one(self, graph_file, tmp_path, capsys):
+        cds = tmp_path / "cds.txt"
+        cds.write_text(" ".join(str(i) for i in list(range(1, 81)) + [7]))
+        assert main(["verify", "--graph", str(graph_file), "--cds", str(cds)]) == 1
+        assert "duplicate" in capsys.readouterr().err
+
+    def test_duplicate_vertex_line_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "dup.txt"
+        path.write_text("3 5.0 0\n1 1.0 1.0\n2 2.0 2.0\n2 3.0 3.0\n3 4.0 4.0\n")
+        assert main(["verify", "--graph", str(path)]) == 1
+        assert "vertex id 2 appears twice" in capsys.readouterr().err
+
 
 class TestLocalCoverage:
     def test_csv_and_summary(self, tmp_path, capsys):

@@ -71,8 +71,23 @@ class TestBuildUdg:
         sq = SquareRegion(side)
         pts = rgg.sample_points(n, sq, seed=seed)
         g = rgg.build_udg(pts, sq)
+        # the same pairs, and in the same lexicographic (i, j) order
+        assert np.array_equal(g.edges, rgg.brute_force_edges(pts))
+
+    @pytest.mark.parametrize("side", [5.0, 4.5])
+    def test_matches_brute_force_on_lattice(self, side):
+        # a half-unit lattice: many pairs at distance exactly 1, every
+        # point on a cell edge or corner, and a row and a column at
+        # x == side and y == side; shuffled so ID order is not cell order
+        ticks = np.arange(0.0, side + 0.25, 0.5)
+        lattice = np.array([(x, y) for x in ticks for y in ticks])
+        rim = np.column_stack([np.full(7, side), np.linspace(0.1, side - 0.1, 7)])
+        pts = np.concatenate([lattice, rim, rim[:, ::-1]])
+        pts = pts[np.random.default_rng(int(side * 10)).permutation(len(pts))]
+        g = rgg.build_udg(pts, SquareRegion(side))
         expected = rgg.brute_force_edges(pts)
-        assert set(map(tuple, g.edges)) == set(map(tuple, expected))
+        assert np.array_equal(g.edges, expected)
+        assert int(np.sum(np.sum((pts[expected[:, 0]] - pts[expected[:, 1]]) ** 2, axis=1) == 1.0)) > 50
 
     def test_adjacency_symmetric_and_irreflexive(self):
         sq = SquareRegion(8.0)
@@ -145,6 +160,14 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("3 5.0 0\n1 1.0 1.0\n2 2.0 2.0\n")
         with pytest.raises(ValueError):
+            rgg.load_graph(path)
+
+    def test_repeated_vertex_id_rejected(self, tmp_path):
+        # all three IDs present, but ID 2 listed twice: the second line
+        # would overwrite the first point
+        path = tmp_path / "dup.txt"
+        path.write_text("3 5.0 0\n1 1.0 1.0\n2 2.0 2.0\n2 3.0 3.0\n3 4.0 4.0\n")
+        with pytest.raises(ValueError, match=r"vertex id 2 appears twice in .*dup\.txt"):
             rgg.load_graph(path)
 
     def test_bad_header_rejected(self, tmp_path):

@@ -101,6 +101,23 @@ class TestPrune:
         report = rule2.verify_cds(g, rule2.prune(g))
         assert report.dominating and report.component_preserving
 
+    def test_keeps_exactly_the_vertices_without_a_witness(self):
+        for seed, (n, side) in enumerate([(300, 7.0), (400, 4.0), (200, 2.0)]):
+            sq = SquareRegion(side)
+            g = rgg.build_udg(rgg.sample_points(n, sq, seed=seed + 700), sq)
+            kept = tuple(i for i in range(1, g.n + 1) if rule2.is_excluded(g, i) is None)
+            assert rule2.prune(g).members == kept
+
+
+def _word_boundary_graph(size):
+    """Vertex 1 with |N[1]| = ``size``: a tight cluster (IDs 2..size-1) on
+    one side and, as the highest ID, a far neighbour that no higher
+    neighbour of 1 reaches.  Only that last member keeps vertex 1, and it
+    sits in slot size-1 of the closed neighbourhood."""
+    rng = np.random.default_rng(size)
+    cluster = np.array([1.5, 2.0]) + rng.uniform(-0.05, 0.05, (size - 2, 2))
+    return _graph(np.vstack([[2.0, 2.0], cluster, [2.9, 2.0]]), side=4.0)
+
 
 class TestBruteForceOracle:
     def test_empty_edge_set(self):
@@ -109,6 +126,22 @@ class TestBruteForceOracle:
 
     def test_triangle(self, triangle):
         assert rule2.brute_force_prune(triangle).members == (2, 3)
+
+    @pytest.mark.parametrize("size", [63, 64, 65, 130])
+    def test_matches_at_mask_word_boundaries(self, size):
+        g = _word_boundary_graph(size)
+        assert len(g.closed_neighborhood(1)) == size
+        members = rule2.prune(g).members
+        assert members[0] == 1
+        assert members == rule2.brute_force_prune(g).members
+
+    def test_matches_fast_path_on_dense_graphs(self):
+        # closed neighbourhoods of up to 200 members: up to four mask words
+        for seed, (n, side) in enumerate([(150, 1.2), (200, 1.6)]):
+            sq = SquareRegion(side)
+            g = rgg.build_udg(rgg.sample_points(n, sq, seed=seed + 900), sq)
+            assert np.diff(g.nbr_offsets).max() + 1 > 128
+            assert rule2.prune(g).members == rule2.brute_force_prune(g).members
 
     def test_matches_fast_path_on_random_graphs(self):
         for seed in range(150):
