@@ -18,7 +18,6 @@ config = hz.SweepConfig.from_dict(
             {
                 "n": n,
                 "ell_rule": {"kind": "sqrt", "value": 1.0},
-                "alpha_profile": "sqrt",
                 "trials": 5,
                 "seed": 1000 + n,
             }

@@ -25,7 +25,7 @@ from . import harness as hz
 from . import local_coverage as lc
 from . import rgg
 from . import rule2
-from .util import atomic_write_text, derived_seed, wilson_interval
+from .util import atomic_write_text, derived_seed
 
 __all__ = ["main"]
 
@@ -180,29 +180,20 @@ def _cmd_geom_check(args) -> int:
 
 def _cmd_run_rule2(args) -> int:
     if args.graph is not None:
-        g = rgg.load_graph(args.graph)
-        n, side, seed = g.n, g.square.side, g.seed if g.seed is not None else 0
+        res = hz.graph_trial(rgg.load_graph(args.graph))
+    elif args.n is None or args.side is None or args.seed is None:
+        raise ValueError("need --graph FILE or all of --n, --side, --seed")
     else:
-        if args.n is None or args.side is None or args.seed is None:
-            raise ValueError("need --graph FILE or all of --n, --side, --seed")
-        n, side, seed = args.n, args.side, args.seed
-        square = geo.SquareRegion(side)
-        g = rgg.build_udg(rgg.sample_points(n, square, seed), square, seed=seed)
-    import time as _time
-
-    t0 = _time.perf_counter()
-    cds = rule2.prune(g)
-    report = rule2.verify_cds(g, cds)
-    millis = (_time.perf_counter() - t0) * 1000.0
+        res = hz.run_trial(args.n, args.side, args.seed)
     payload = {
-        "n": n,
-        "side": side,
-        "seed": seed,
-        "cds_size": cds.size,
-        "pruned": n - cds.size,
-        "dominating": report.dominating,
-        "component_preserving": report.component_preserving,
-        "millis": round(millis, 3) if args.emit_timings else 0,
+        "n": res.n,
+        "side": res.side,
+        "seed": res.seed,
+        "cds_size": res.cds_size,
+        "pruned": res.pruned,
+        "dominating": res.dominating,
+        "component_preserving": res.component_preserving,
+        "millis": round(res.runtime_ms, 3) if args.emit_timings else 0,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
@@ -215,32 +206,26 @@ def _cmd_local_coverage(args) -> int:
     square = geo.SquareRegion(args.side)
     if args.w < 0 or args.b < 1 or args.trials < 1:
         raise ValueError("need w >= 0, b >= 1, trials >= 1")
-    lines = ["trial,tau,Z,Y,X_b,pair_found"]
-    hits = 0
-    tau_sum = 0
-    z_sum = 0
-    xb_sum = 0
-    for t in range(args.trials):
-        sample = lc.sample_colored(center, square, args.w, args.b, seed=derived_seed(args.seed, t))
+    records = []  # (tau, Z, Y, X_b, pair_found) per trial
+    for sample in lc.colored_trials(center, square, args.w, args.b, args.trials, args.seed):
         stats = lc.sector_stats(sample)
         xb = lc.x_b_indicator(sample, stats)
         found, _ = lc.blue_pair_dominates(sample)
-        hits += found
-        tau_sum += stats.tau
-        z_sum += stats.core_blue
-        xb_sum += xb
-        lines.append(
-            f"{t},{stats.tau},{stats.core_blue},{stats.first_match},{xb},{'true' if found else 'false'}"
-        )
+        records.append((stats.tau, stats.core_blue, stats.first_match, xb, found))
+    lines = ["trial,tau,Z,Y,X_b,pair_found"] + [
+        f"{t},{tau},{z},{y},{xb},{'true' if found else 'false'}"
+        for t, (tau, z, y, xb, found) in enumerate(records)
+    ]
     _emit("\n".join(lines) + "\n", args.out)
-    wl, wh = wilson_interval(hits, args.trials)
+    tau_sum, z_sum, _, xb_sum, hits = map(sum, zip(*records))
+    pair = lc.CoverageEstimate.of(hits, args.trials)
     summary = {
         "b": args.b,
         "w": args.w,
         "trials": args.trials,
         "seed": args.seed,
-        "pair_dominates_rate": hits / args.trials,
-        "pair_dominates_wilson95": [wl, wh],
+        "pair_dominates_rate": pair.estimate,
+        "pair_dominates_wilson95": [pair.wilson_low, pair.wilson_high],
         "mean_tau": tau_sum / args.trials,
         "mean_core_blue": z_sum / args.trials,
         "x_b_rate": xb_sum / args.trials,

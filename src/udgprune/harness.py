@@ -5,6 +5,11 @@ verify the CDS) across seeded trials, collects per-vertex label/count
 statistics, and emits a fixed-schema CSV for scaling sweeps.  Everything
 is deterministic given the configured seeds; trials may run in worker
 processes because each one derives its own seed.
+
+`graph_trial` prunes and verifies one graph; `run_trial` samples a graph
+and hands it to `graph_trial`.  Both `sweep` and the ``run-rule2``
+command go through `run_trial`, so a sweep row's (n, side, seed)
+reproduces that row with ``run-rule2``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ __all__ = [
     "make_schedule",
     "vertex_stats",
     "all_vertex_stats",
+    "graph_trial",
     "run_trial",
     "SweepConfig",
     "ScheduleSpec",
@@ -87,9 +93,11 @@ class Schedule:
         if not (math.isfinite(self.ell) and self.ell > 0):
             raise ValueError(f"ell must be positive, got {self.ell!r}")
         xi = self.alpha / (self.ell * self.ell)
-        if xi <= 1.0:
+        if not xi > 1.0 + 1e-12:  # alpha = ell^2 up to rounding counts as 1
             raise ValueError(
-                f"alpha/ell^2 = {xi:.4g} <= 1: the boundary margin is undefined"
+                f"alpha/ell^2 = {xi:.4g} is not above 1: the boundary margin is "
+                "undefined (the 'power' alpha profile with ell = sqrt(n / ln n) "
+                "gives alpha = ell^2; pair it with ell_power(n, t), t < 1/2)"
             )
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "margin", 1.0 / math.log(xi) ** 1.5)
@@ -114,6 +122,11 @@ def default_alpha(n: int, ell: float, profile: str) -> float:
 
     ``"sqrt"`` (ell of order sqrt(n/ln n)) uses 32n / (ln ln n)^{3/2};
     ``"power"`` (ell of order (n/ln n)^t, t < 1/2) uses n / ln n.
+
+    `Schedule` needs alpha / ell^2 > 1, which holds for ``"sqrt"`` with
+    ``ell_sqrt(n, c)``, c < 8.8, and for ``"power"`` with ``ell_power(n, t)``,
+    t < 1/2.  ``"power"`` with ``ell_sqrt(n)`` gives alpha = ell^2 up to
+    rounding, so `make_schedule` raises for every n.
     """
     if profile == "sqrt":
         if n <= 15:  # ln ln n <= 1 makes the exponent degenerate
@@ -204,15 +217,18 @@ def all_vertex_stats(g, schedule: Schedule) -> VertexStatsArrays:
         # for index pairs lo < hi the higher label sits at hi
         np.add.at(higher, lo, 1)
         np.add.at(lower, hi, 1)
-    areas = np.array(
-        [truncated_disk_area(g.points[j], g.square) for j in range(n)]
-    )
-    ell2 = g.square.side**2
+    side = g.square.side
+    xs, ys = g.points[:, 0], g.points[:, 1]
+    # at distance >= 1 from every side truncated_disk_area is exactly pi
+    # (three of its four quadrant terms are 0), so only the rest are clipped
+    border = ~((xs >= 1.0) & (ys >= 1.0) & (side - xs >= 1.0) & (side - ys >= 1.0))
+    areas = np.full(n, math.pi)
+    areas[border] = [truncated_disk_area(p, g.square) for p in g.points[border]]
+    ell2 = side**2
     higher_mean = (n - ids) * areas / ell2
     lower_mean = (ids - 1) * areas / ell2
     r = schedule.margin
-    xs, ys = g.points[:, 0], g.points[:, 1]
-    interior = (xs >= r) & (xs <= g.square.side - r) & (ys >= r) & (ys <= g.square.side - r)
+    interior = (xs >= r) & (xs <= side - r) & (ys >= r) & (ys <= side - r)
     concentrated = (np.abs(higher - higher_mean) < 0.5 * higher_mean) & (
         np.abs(lower - lower_mean) < 0.5 * lower_mean
     )
@@ -278,32 +294,34 @@ class TrialResult:
         return self.components_graph == self.components_induced
 
 
-def run_trial(n: int, side: float, seed: int, schedule: Schedule | None = None) -> TrialResult:
-    """Sample, build, prune, verify; deterministic given (n, side, seed)."""
-    if schedule is not None and (schedule.n != n or schedule.ell != side):
-        warnings.warn(
-            f"schedule (n={schedule.n}, ell={schedule.ell:.4g}) does not match the "
-            f"trial (n={n}, side={side:.4g})",
-            stacklevel=2,
-        )
-    t0 = time.perf_counter()
-    square = SquareRegion(side)
-    pts = sample_points(n, square, seed)
-    g = build_udg(pts, square, seed=seed)
+def graph_trial(g, started: float | None = None) -> TrialResult:
+    """Prune ``g`` and verify the CDS.  ``runtime_ms`` runs from the
+    ``time.perf_counter()`` value ``started`` (default: the call); a graph
+    without a seed reports seed 0."""
+    if started is None:
+        started = time.perf_counter()
     cds = prune(g)
     report = verify_cds(g, cds)
-    millis = (time.perf_counter() - t0) * 1000.0
     return TrialResult(
-        n=n,
-        side=side,
-        seed=seed,
+        n=g.n,
+        side=g.square.side,
+        seed=g.seed if g.seed is not None else 0,
         cds_size=cds.size,
-        pruned=n - cds.size,
+        pruned=g.n - cds.size,
         components_graph=report.components_graph,
         components_induced=report.components_induced,
         dominating=report.dominating,
-        runtime_ms=millis,
+        runtime_ms=(time.perf_counter() - started) * 1000.0,
     )
+
+
+def run_trial(n: int, side: float, seed: int) -> TrialResult:
+    """Sample, build, prune, verify; deterministic given (n, side, seed).
+    ``runtime_ms`` covers all four stages."""
+    started = time.perf_counter()
+    square = SquareRegion(side)
+    g = build_udg(sample_points(n, square, seed), square, seed=seed)
+    return graph_trial(g, started)
 
 
 @dataclass(frozen=True)
@@ -313,7 +331,6 @@ class ScheduleSpec:
     n: int
     ell_kind: str          # "sqrt" or "power"
     ell_value: float       # the constant c, or the exponent t
-    alpha_profile: str
     trials: int
     seed: int
 
@@ -325,23 +342,30 @@ class ScheduleSpec:
         raise ValueError(f"unknown ell rule {self.ell_kind!r}")
 
 
+_SCHEDULE_KEYS = ("n", "ell_rule", "trials", "seed")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     schedules: tuple[ScheduleSpec, ...]
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
+        """Parse ``{"schedules": [{"n", "ell_rule": {"kind", "value"},
+        "trials", "seed"}, ...]}``; any other schedule key is an error."""
         if not isinstance(data, dict) or "schedules" not in data:
             raise ValueError("sweep config must be an object with a 'schedules' list")
         specs = []
         for pos, entry in enumerate(data["schedules"]):
             try:
+                unknown = [key for key in entry if key not in _SCHEDULE_KEYS]
+                if unknown:
+                    raise ValueError(f"unknown key {unknown[0]!r}, expected {_SCHEDULE_KEYS}")
                 rule = entry["ell_rule"]
                 spec = ScheduleSpec(
                     n=int(entry["n"]),
                     ell_kind=str(rule["kind"]),
                     ell_value=float(rule["value"]),
-                    alpha_profile=str(entry.get("alpha_profile", "sqrt")),
                     trials=int(entry["trials"]),
                     seed=int(entry["seed"]),
                 )
@@ -355,26 +379,8 @@ class SweepConfig:
                 raise ValueError(
                     f"sweep config schedules[{pos}]: unknown ell rule {spec.ell_kind!r}"
                 )
-            if spec.alpha_profile not in ("sqrt", "power"):
-                raise ValueError(
-                    f"sweep config schedules[{pos}]: unknown alpha profile "
-                    f"{spec.alpha_profile!r}"
-                )
             specs.append(spec)
         return cls(schedules=tuple(specs))
-
-
-def _trial_args(config: SweepConfig):
-    for spec in config.schedules:
-        side = spec.side()
-        for t in range(spec.trials):
-            yield spec, t, derived_seed(spec.seed, t), side
-
-
-def _run_spec_trial(args) -> tuple[TrialResult, int]:
-    n, side, seed, trial = args
-    res = run_trial(n, side, seed)
-    return res, trial
 
 
 def sweep(config: SweepConfig, parallel: int = 1, emit_timings: bool = False) -> list[dict]:
@@ -384,16 +390,17 @@ def sweep(config: SweepConfig, parallel: int = 1, emit_timings: bool = False) ->
     ``parallel``, and ``millis`` is 0 unless ``emit_timings`` is set, so
     output bytes are identical across parallelism settings and reruns.
     """
-    jobs = [(spec.n, side, seed, t) for spec, t, seed, side in _trial_args(config)]
+    plan = [(spec, t) for spec in config.schedules for t in range(spec.trials)]
+    jobs = [(spec.n, spec.side(), derived_seed(spec.seed, t)) for spec, t in plan]
     if parallel > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_run_spec_trial, jobs, chunksize=1))
+            results = list(pool.map(run_trial, *zip(*jobs), chunksize=1))
     else:
-        results = [_run_spec_trial(j) for j in jobs]
+        results = [run_trial(*job) for job in jobs]
 
     rows = []
-    for (res, trial), (n, side, seed, _t) in zip(results, jobs):
-        ell2 = side * side
+    for res, (_, trial) in zip(results, plan):
+        ell2 = res.side * res.side
         rows.append(
             {
                 "schema_ver": CSV_SCHEMA_VERSION,

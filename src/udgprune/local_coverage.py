@@ -6,13 +6,18 @@ the small radius-delta core disk into opposed sectors, and ask whether
 two adjacent blue points from the core dominate the whole sample.  The
 sector statistics feed the tail/mean checks; the domination probability
 is the quantity the pruning analysis ultimately leans on.
+
+A sample finds its core points when it is built (`ColoredSample.core`);
+`sector_stats` labels each once and keeps the first matched pair for
+`x_b_indicator`.  `colored_trials` is the one loop that draws the
+samples of a seeded experiment, trial t from ``derived_seed(seed, t)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -25,6 +30,7 @@ __all__ = [
     "CoverageEstimate",
     "CoreTailReport",
     "sample_colored",
+    "colored_trials",
     "sample_truncated_disk",
     "sector_stats",
     "blue_pair_dominates",
@@ -38,13 +44,23 @@ __all__ = [
 @dataclass(frozen=True)
 class ColoredSample:
     """w white + b blue points drawn uniformly from the clipped unit disk
-    about ``center``, with the sector frame used to read core statistics."""
+    about ``center``, with the sector frame used to read core statistics.
+
+    ``core`` holds the indices, in increasing order, of the blue points
+    within ``frame.delta`` of the center.
+    """
 
     center: Point2D
     square: SquareRegion
     white: np.ndarray  # (w, 2)
     blue: np.ndarray   # (b, 2)
     frame: SectorFrame
+    core: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        c = self.frame.center
+        d2 = (self.blue[:, 0] - c[0]) ** 2 + (self.blue[:, 1] - c[1]) ** 2
+        object.__setattr__(self, "core", np.flatnonzero(d2 <= self.frame.delta**2))
 
     @property
     def w(self) -> int:
@@ -61,9 +77,11 @@ class SectorStats:
 
     ``tau`` counts sector indices whose Q- and R-sides each hold exactly
     one blue point; ``matched`` lists those indices and ``first_match``
-    is their minimum (-1 when there are none).  ``core_blue`` is the
-    number of blue points in the core disk and ``core_bound`` the
-    threshold 2 * density * b^(1/3) / (ln b)^2 used by the tail check.
+    is their minimum (-1 when there are none).  ``first_pair`` holds the
+    blue indices of the (Q, first_match) and (R, first_match) points
+    (None when there is no match).  ``core_blue`` is the number of blue
+    points in the core disk and ``core_bound`` the threshold
+    2 * density * b^(1/3) / (ln b)^2 used by the tail check.
     """
 
     counts_q: np.ndarray
@@ -71,6 +89,7 @@ class SectorStats:
     matched: tuple[int, ...]
     tau: int
     first_match: int
+    first_pair: Optional[tuple[int, int]]
     core_blue: int
     core_bound: float
 
@@ -159,21 +178,23 @@ def sector_stats(sample: ColoredSample) -> SectorStats:
     L = frame.count
     counts_q = np.zeros(L, dtype=np.int64)
     counts_r = np.zeros(L, dtype=np.int64)
+    last = {}  # label -> latest blue index, the only one where the count is 1
     core_blue = 0
-    d2 = (sample.blue[:, 0] - frame.center[0]) ** 2 + (
-        sample.blue[:, 1] - frame.center[1]
-    ) ** 2
-    for j in np.flatnonzero(d2 <= frame.delta**2):
-        if d2[j] == 0.0:
+    cx, cy = frame.center
+    for j in sample.core:
+        p = sample.blue[j]
+        if p[0] == cx and p[1] == cy:
             core_blue += 1  # dead center belongs to no sector
             continue
-        label = sector_of(frame, sample.blue[j])
+        label = sector_of(frame, p)
         if label is None:
             continue
         core_blue += 1
         family, idx = label
         (counts_q if family == "Q" else counts_r)[idx] += 1
+        last[label] = j
     matched = tuple(int(i) for i in np.flatnonzero((counts_q == 1) & (counts_r == 1)))
+    first_match = matched[0] if matched else -1
     lam = clipped_disk_density(sample.center, sample.square)
     b_eff = max(sample.b, 3)  # the threshold formula needs ln b > 0
     bound = 2.0 * lam * b_eff ** (1.0 / 3.0) / math.log(b_eff) ** 2
@@ -182,16 +203,18 @@ def sector_stats(sample: ColoredSample) -> SectorStats:
         counts_r=counts_r,
         matched=matched,
         tau=len(matched),
-        first_match=matched[0] if matched else -1,
+        first_match=first_match,
+        first_pair=(int(last["Q", first_match]), int(last["R", first_match])) if matched else None,
         core_blue=core_blue,
         core_bound=bound,
     )
 
 
-def _coverage_ok(sample: ColoredSample, g1: np.ndarray, g2: np.ndarray) -> bool:
+def _pair_dominates(sample: ColoredSample, g1: np.ndarray, g2: np.ndarray) -> bool:
+    """Are g1 and g2 adjacent, with every sample point within 1 of one of them?"""
+    if (g1[0] - g2[0]) ** 2 + (g1[1] - g2[1]) ** 2 > 1.0:
+        return False
     for pts in (sample.white, sample.blue):
-        if len(pts) == 0:
-            continue
         near1 = (pts[:, 0] - g1[0]) ** 2 + (pts[:, 1] - g1[1]) ** 2 <= 1.0
         near2 = (pts[:, 0] - g2[0]) ** 2 + (pts[:, 1] - g2[1]) ** 2 <= 1.0
         if not (near1 | near2).all():
@@ -206,18 +229,11 @@ def blue_pair_dominates(sample: ColoredSample) -> tuple[bool, Optional[tuple[int
     Returns (found, pair-of-blue-indices) with the first qualifying pair
     in index order; only pairs drawn from the core disk are considered.
     """
-    frame = sample.frame
-    d2 = (sample.blue[:, 0] - frame.center[0]) ** 2 + (
-        sample.blue[:, 1] - frame.center[1]
-    ) ** 2
-    core = np.flatnonzero(d2 <= frame.delta**2)
+    core = sample.core
     for a in range(len(core) - 1):
         g1 = sample.blue[core[a]]
         for b in range(a + 1, len(core)):
-            g2 = sample.blue[core[b]]
-            if (g1[0] - g2[0]) ** 2 + (g1[1] - g2[1]) ** 2 > 1.0:
-                continue
-            if _coverage_ok(sample, g1, g2):
+            if _pair_dominates(sample, g1, sample.blue[core[b]]):
                 return True, (int(core[a]), int(core[b]))
     return False, None
 
@@ -231,25 +247,10 @@ def x_b_indicator(sample: ColoredSample, stats: SectorStats | None = None) -> in
     """
     if stats is None:
         stats = sector_stats(sample)
-    if stats.tau == 0:
+    if stats.first_pair is None:
         return 0
-    target = stats.first_match
-    frame = sample.frame
-    d2 = (sample.blue[:, 0] - frame.center[0]) ** 2 + (
-        sample.blue[:, 1] - frame.center[1]
-    ) ** 2
-    g1 = g2 = None
-    for j in np.flatnonzero((d2 <= frame.delta**2) & (d2 > 0.0)):
-        label = sector_of(frame, sample.blue[j])
-        if label == ("Q", target):
-            g1 = sample.blue[j]
-        elif label == ("R", target):
-            g2 = sample.blue[j]
-    if g1 is None or g2 is None:  # cannot happen if stats match the sample
-        return 0
-    if (g1[0] - g2[0]) ** 2 + (g1[1] - g2[1]) ** 2 > 1.0:
-        return 0
-    return 1 if _coverage_ok(sample, g1, g2) else 0
+    q, r = stats.first_pair
+    return int(_pair_dominates(sample, sample.blue[q], sample.blue[r]))
 
 
 @dataclass(frozen=True)
@@ -259,6 +260,23 @@ class CoverageEstimate:
     estimate: float
     wilson_low: float
     wilson_high: float
+
+    @classmethod
+    def of(cls, successes: int, trials: int) -> "CoverageEstimate":
+        """The rate successes / trials with its Wilson 95% interval."""
+        lo, hi = wilson_interval(successes, trials)
+        return cls(successes, trials, successes / trials, lo, hi)
+
+
+def colored_trials(
+    center, square: SquareRegion, w: int, b: int, trials: int, seed: int, log_exponent: float = 1.5
+) -> Iterator[ColoredSample]:
+    """The samples of trials 0..trials-1; trial t is drawn from
+    ``derived_seed(seed, t)``, so any one of them can be redrawn alone."""
+    for t in range(trials):
+        yield sample_colored(
+            center, square, w, b, seed=derived_seed(seed, t), log_exponent=log_exponent
+        )
 
 
 def local_coverage_probability(
@@ -279,20 +297,12 @@ def local_coverage_probability(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    hits = 0
-    for t in range(trials):
-        if sample_fn is not None:
-            sample = sample_fn(t)
-        else:
-            sample = sample_colored(
-                center, square, w, b, seed=derived_seed(seed, t), log_exponent=log_exponent
-            )
-        found, _ = blue_pair_dominates(sample)
-        hits += found
-    lo, hi = wilson_interval(hits, trials)
-    return CoverageEstimate(
-        successes=hits, trials=trials, estimate=hits / trials, wilson_low=lo, wilson_high=hi
-    )
+    if sample_fn is not None:
+        samples = map(sample_fn, range(trials))
+    else:
+        samples = colored_trials(center, square, w, b, trials, seed, log_exponent)
+    hits = sum(blue_pair_dominates(sample)[0] for sample in samples)
+    return CoverageEstimate.of(hits, trials)
 
 
 @dataclass(frozen=True)
@@ -324,15 +334,10 @@ def z_tail_check(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    counts = np.empty(trials, dtype=np.int64)
-    threshold = None
-    for t in range(trials):
-        sample = sample_colored(
-            center, square, 0, b, seed=derived_seed(seed, t), log_exponent=log_exponent
-        )
-        stats = sector_stats(sample)
-        counts[t] = stats.core_blue
-        threshold = stats.core_bound
+    samples = colored_trials(center, square, 0, b, trials, seed, log_exponent)
+    stats = [sector_stats(sample) for sample in samples]
+    counts = np.array([st.core_blue for st in stats], dtype=np.int64)
+    threshold = stats[0].core_bound  # the same for every trial
     lam = clipped_disk_density(center, square)
     delta = SectorFrame(Point2D(*map(float, center)), b, log_exponent).delta
     expected = b * lam * delta**2

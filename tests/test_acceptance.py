@@ -410,7 +410,6 @@ def test_c11_pruning_trend():
                 {
                     "n": n,
                     "ell_rule": {"kind": "sqrt", "value": 1.0},
-                    "alpha_profile": "sqrt",
                     "trials": 10,
                     "seed": derived_seed(MASTER, 110, n),
                 }
@@ -479,7 +478,6 @@ def test_c12_cli_determinism(tmp_path):
                     {
                         "n": 500,
                         "ell_rule": {"kind": "sqrt", "value": 1.0},
-                        "alpha_profile": "sqrt",
                         "trials": 4,
                         "seed": 17,
                     }

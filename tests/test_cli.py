@@ -147,7 +147,6 @@ class TestSweep:
                 {
                     "n": 300,
                     "ell_rule": {"kind": "sqrt", "value": 1.0},
-                    "alpha_profile": "sqrt",
                     "trials": trials,
                     "seed": 4,
                 }
@@ -186,6 +185,27 @@ class TestSweep:
         cfg.write_text(json.dumps({"schedules": [{"n": 10}]}))
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert "schedules[0]" in capsys.readouterr().err
+        cfg = self._write_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data["schedules"][0]["alpha_profile"] = "sqrt"
+        cfg.write_text(json.dumps(data))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert "schedules[0]: unknown key 'alpha_profile'" in capsys.readouterr().err
+
+    def test_rows_replay_with_run_rule2(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, trials=2)
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--parallel", "1"]) == 0
+        capsys.readouterr()
+        header, *lines = out.read_text().splitlines()
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            replay = ["run-rule2", "--n", row["n"], "--side", row["side"], "--seed", row["seed"]]
+            assert main(replay) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["cds_size"] == int(row["cds_size"])
+            assert payload["pruned"] == int(row["U"])
+            assert payload["dominating"] == (row["dominating"] == "true")
 
     def test_no_partial_output_on_failure(self, tmp_path):
         cfg = tmp_path / "config.json"

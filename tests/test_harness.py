@@ -71,6 +71,12 @@ class TestSchedule:
         with pytest.raises(ValueError):
             hz.Schedule(n=100, ell=10.0, alpha=50.0)  # xi = 0.5
 
+    def test_power_profile_on_sqrt_habitat_names_the_pairing(self):
+        # alpha = ell^2 up to rounding: xi comes out 1 or one ulp away
+        for n in range(16, 2000):
+            with pytest.raises(ValueError, match=r"'power' alpha profile with ell = sqrt"):
+                hz.make_schedule(n, rgg.ell_sqrt(n), "power")
+
     def test_narrow_habitat_warns(self):
         with pytest.warns(UserWarning, match="below ln n"):
             hz.Schedule(n=10**6, ell=5.0, alpha=1000.0)
@@ -125,10 +131,19 @@ class TestVertexStats:
         assert vs.higher_mean == pytest.approx((g.n - vid) * math.pi / g.square.side**2)
 
     def test_bulk_matches_single(self, graph_and_schedule):
-        g, sch = graph_and_schedule
-        stats = hz.all_vertex_stats(g, sch)
-        for vid in (2, 500, 2999):
-            assert stats.single(vid) == hz.vertex_stats(g, vid, sch)
+        # the bulk path clips only vertices nearer than 1 to a side, so the
+        # hand-made graph puts vertices on and next to that line
+        side = 5.0
+        low = (0.0, 0.9, math.nextafter(1.0, 0.0), 1.0)
+        high = (side - 1.0, math.nextafter(side - 1.0, side), side - 0.9, side)
+        coords = (*low, 2.5, *high)
+        pts = np.array([(x, y) for x in coords for y in coords])
+        lattice = rgg.build_udg(pts, SquareRegion(side))
+        lattice_schedule = hz.Schedule(n=lattice.n, ell=side, alpha=40.0)
+        for g, sch in (graph_and_schedule, (lattice, lattice_schedule)):
+            stats = hz.all_vertex_stats(g, sch)
+            for vid in range(1, g.n + 1):
+                assert stats.single(vid) == hz.vertex_stats(g, vid, sch)
 
     def test_interior_frequency_matches_exact_probability(self, graph_and_schedule):
         g, sch = graph_and_schedule
@@ -157,10 +172,11 @@ class TestRunTrial:
         assert a == b  # runtime_ms is excluded from comparison
         assert a.pruned + a.cds_size == a.n
 
-    def test_mismatched_schedule_warns(self):
-        sch = _power_schedule(10**4)
-        with pytest.warns(UserWarning, match="does not match"):
-            hz.run_trial(500, rgg.ell_sqrt(500), seed=1, schedule=sch)
+    def test_graph_trial_of_a_sampled_graph_is_run_trial(self):
+        n, side, seed = 300, rgg.ell_sqrt(300), 11
+        sq = SquareRegion(side)
+        g = rgg.build_udg(rgg.sample_points(n, sq, seed), sq, seed=seed)
+        assert hz.graph_trial(g) == hz.run_trial(n, side, seed)
 
 
 class TestSweep:
@@ -171,7 +187,6 @@ class TestSweep:
                     {
                         "n": 400,
                         "ell_rule": {"kind": "sqrt", "value": 1.0},
-                        "alpha_profile": "sqrt",
                         "trials": trials,
                         "seed": 21,
                     }
@@ -238,6 +253,10 @@ class TestSweep:
             )
         with pytest.raises(ValueError, match="schedules"):
             hz.SweepConfig.from_dict([1, 2, 3])
+        entry = {"n": 100, "ell_rule": {"kind": "sqrt", "value": 1.0}, "trials": 1, "seed": 0}
+        for key in ("alpha_profile", "trails"):
+            with pytest.raises(ValueError, match=rf"schedules\[0\]: unknown key '{key}'"):
+                hz.SweepConfig.from_dict({"schedules": [dict(entry, **{key: 1})]})
 
 
 class TestConditionalPruneRate:

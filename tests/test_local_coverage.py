@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from udgprune import local_coverage as lc
-from udgprune.geometry import Point2D, SectorFrame, SquareRegion
-from udgprune.util import derived_seed
+from udgprune.geometry import Point2D, SectorFrame, SquareRegion, sector_of
+from udgprune.util import derived_seed, wilson_interval
 
 SQUARE = SquareRegion(10.0)
 CENTER = (5.0, 5.0)
@@ -67,6 +67,22 @@ class TestSampleColored:
                 assert count >= prev
                 prev = count
 
+    def test_core_lists_the_blue_points_in_the_core_disk(self):
+        total = 0
+        for seed in range(50):
+            s = lc.sample_colored(CENTER, SQUARE, w=3, b=8, seed=seed)
+            d = np.hypot(s.blue[:, 0] - 5.0, s.blue[:, 1] - 5.0)
+            assert list(s.core) == list(np.flatnonzero(d <= s.frame.delta))
+            total += len(s.core)
+        assert total > 0
+
+    def test_colored_trials_redraw_one_trial_alone(self):
+        trials = list(lc.colored_trials(CENTER, SQUARE, 5, 40, trials=4, seed=8))
+        assert len(trials) == 4
+        for t, sample in enumerate(trials):
+            alone = lc.sample_colored(CENTER, SQUARE, 5, 40, seed=derived_seed(8, t))
+            assert (sample.white == alone.white).all() and (sample.blue == alone.blue).all()
+
     def test_core_disk_must_fit(self):
         with pytest.raises(ValueError):
             lc.sample_colored((0.001, 5.0), SQUARE, w=0, b=1000, seed=0)
@@ -98,6 +114,31 @@ class TestSectorStats:
         assert st.tau == 1 and st.matched == (3,) and st.first_match == 3
         assert st.core_blue == 2
         assert st.counts_q[3] == 1 and st.counts_r[3] == 1
+
+    def test_first_pair_comes_from_one_labelling_pass(self, monkeypatch):
+        calls = []
+
+        def counting(frame, p):
+            calls.append(1)
+            return sector_of(frame, p)
+
+        monkeypatch.setattr(lc, "sector_of", counting)
+        matched = 0
+        for seed in range(400):
+            s = lc.sample_colored(CENTER, SQUARE, w=5, b=8, seed=seed)
+            calls.clear()
+            st = lc.sector_stats(s)
+            lc.x_b_indicator(s, st)
+            lc.blue_pair_dominates(s)
+            assert len(calls) == st.core_blue  # one sector_of call per core point
+            if st.tau == 0:
+                assert st.first_pair is None
+                continue
+            matched += 1
+            q, r = st.first_pair
+            assert sector_of(s.frame, s.blue[q]) == ("Q", st.first_match)
+            assert sector_of(s.frame, s.blue[r]) == ("R", st.first_match)
+        assert matched > 0  # x_b_indicator got past its no-match exit
 
     def test_partition_accounts_for_every_core_blue(self):
         for seed in range(50):
@@ -201,6 +242,11 @@ class TestLocalCoverageProbability:
         )
         assert est.estimate == 1.0
         assert est.wilson_high == 1.0
+
+    def test_estimate_carries_its_wilson_interval(self):
+        est = lc.CoverageEstimate.of(3, 40)
+        assert (est.successes, est.trials, est.estimate) == (3, 40, 3 / 40)
+        assert (est.wilson_low, est.wilson_high) == wilson_interval(3, 40)
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
