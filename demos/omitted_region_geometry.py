@@ -43,12 +43,16 @@ print()
 print("=" * 70)
 print("3. The omitted region: the part of D(o) that two disks leave bare")
 print("=" * 70)
-print("   omitted_area(o,q,u) = pi - lens(o,q) - lens(o,u) + triple(o,q,u)")
+print("   omitted_area sums the omitted region's own boundary arcs (Green's")
+print("   theorem); inclusion-exclusion, pi - lens - lens + triple, agrees here")
+print("   but cancels O(1) terms once the region is a thin sliver")
 for dq in (0.2, 0.6, 1.0):
     q = (dq, 0.0)
     u = (-dq, 0.0)
     x = geo.omitted_area(o, q, u)
-    print(f"   opposed pair at distance {dq:3.1f}: omitted = {x:.6f}")
+    parts = (math.pi - geo.lens_area(geo.dist(o, q)) - geo.lens_area(geo.dist(o, u))
+             + geo.triple_disk_intersection_area(o, q, u))
+    print(f"   opposed pair at distance {dq:3.1f}: omitted = {x:.6f}   (by parts {parts:.6f})")
 q = u = (0.6, 0.0)
 print(f"   both points on the SAME side at 0.6: omitted = {geo.omitted_area(o, q, u):.6f}")
 print("   (opposed placement covers far better than a clustered pair)")

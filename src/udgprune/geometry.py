@@ -6,6 +6,11 @@ uncovered by two other disks; plus the partition of a small central disk
 into opposed angular sectors and a hit-or-miss Monte Carlo area oracle
 used to cross-check every exact formula.
 
+The three-disk intersection and the omitted region come from one scalar
+routine, `_region_area` (Green's theorem over the boundary arcs, local to
+the region), with no O(1) terms that cancel: the omitted area of extreme
+sector pairs, ~1/(b ln^3 b), keeps its relative precision past b = 1e12.
+
 All disks have radius 1, so lengths are expressed in units of the disk
 radius.  Every function is a pure function of its arguments; the Monte
 Carlo oracle derives all randomness from an explicit seed, so everything
@@ -41,8 +46,7 @@ __all__ = [
     "disk_membership",
 ]
 
-TANGENCY_EPS = 1e-12  # |d - 2| below this is treated as exact tangency
-_VERTEX_EPS = 1e-10   # slack when deciding whether an arc vertex lies in a disk
+_TAU = 2.0 * math.pi
 _MC_CHUNK = 1 << 20
 
 
@@ -135,14 +139,12 @@ def lens_area(d: float) -> float:
     """Area of the intersection of two unit disks whose centers are ``d`` apart.
 
     Equals 2*arccos(d/2) - (d/2)*sqrt(4 - d^2) for d < 2, and 0 for
-    disjoint or tangent disks.
+    disjoint or tangent disks; summed as two circular segments (the
+    boundary-arc sum, whose chords coincide), precise as d approaches 2.
     """
     if not math.isfinite(d) or d < 0:
         raise ValueError(f"center distance must be finite and >= 0, got {d!r}")
-    if d >= 2.0 - TANGENCY_EPS:
-        return 0.0
-    half = 0.5 * d
-    return 2.0 * math.acos(half) - half * math.sqrt(4.0 - d * d)
+    return 2.0 * _segment(2.0 * math.acos(0.5 * d)) if d < 2.0 else 0.0
 
 
 def circle_intersection_points(p, q) -> tuple[Point2D, Point2D]:
@@ -165,120 +167,118 @@ def circle_intersection_points(p, q) -> tuple[Point2D, Point2D]:
     )
 
 
-def _shoelace(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _segment(t: float) -> float:
+    """(t - sin t) / 2, the area between a unit circle's arc of angle t and
+    its chord; from its Taylor series below t = 1/2, precise as t -> 0."""
+    if t > 0.5:
+        return 0.5 * (t - math.sin(t))
+    t2 = t * t
+    s = 1.0
+    for n in (210.0, 156.0, 110.0, 72.0, 42.0, 20.0):  # (2k)(2k+1), k = 7..2
+        s = 1.0 - t2 / n * s
+    return t * t2 / 12.0 * s
+
+
+def _region_area(inside, outside) -> float:
+    """Area of the points inside every unit disk about ``inside`` (non-empty)
+    and outside every unit disk about ``outside``.
+
+    Green's theorem over the boundary: each boundary arc is the piece of a
+    circle between consecutive cuts by the others that meets every other
+    disk's constraint, decided by the order of cut angles alone.  An arc
+    adds its circular segment, negated on an outside circle (run
+    clockwise), and its chord to the shoelace sum of the vertex polygon.
+    Each loop is walked by adding up chords, so vertices sit relative to
+    its first one: a sliver of width w keeps relative error near
+    rounding / w, where absolute vertex coordinates give rounding / w^2.
+    """
+    ox, oy = float(inside[0][0]), float(inside[0][1])
+    # [x, y, sign, cuts, violated]: center relative to inside[0]; +1 inside,
+    # -1 outside; (angle, step, vertex) cuts by the other circles; the count
+    # of other disks' constraints broken at angle pi.  Identical circles merge.
+    circles = []
+    for sign, centers in ((1, inside), (-1, outside)):
+        for c in centers:
+            x, y = float(c[0]) - ox, float(c[1]) - oy
+            twin = next((k for k in circles if k[0] == x and k[1] == y), None)
+            if twin is None:
+                circles.append([x, y, sign, [], 0])
+            elif twin[2] != sign:
+                return 0.0  # inside and outside the same disk
+    for i, ci in enumerate(circles):
+        for j in range(i + 1, len(circles)):
+            cj = circles[j]
+            dx, dy = cj[0] - ci[0], cj[1] - ci[1]
+            d = math.hypot(dx, dy)
+            if d >= 2.0:  # each circle lies outside the other disk
+                ci[4] += cj[2] > 0
+                cj[4] += ci[2] > 0
+                continue
+            a = math.acos(0.5 * d)
+            right = 2 * (len(circles) * i + j)  # crossing right of i -> j; right + 1: left
+            # circle c meets the other disk on angles [toward - a, toward + a]
+            for c, other, toward, enter, leave in (
+                (ci, cj, math.atan2(dy, dx), right, right + 1),
+                (cj, ci, math.atan2(-dy, -dx), right + 1, right),
+            ):
+                t_in = math.remainder(toward - a, _TAU)  # exact reduction to [-pi, pi]
+                t_out = math.remainder(toward + a, _TAU)
+                step = -1 if other[2] > 0 else 1  # entering meets an inside constraint
+                c[3] += ((t_in, step, enter), (t_out, -step, leave))
+                c[4] += (t_in > t_out) != (other[2] > 0)
+
+    total = 0.0
+    arcs = {}  # first vertex -> (last vertex, x, y, sign, t0, span); region on the left
+    for x, y, sign, cuts, violated in circles:
+        if not cuts:  # uncut: the whole circle bounds the region or none of it does
+            total += 0.0 if violated else sign * math.pi
+            continue
+        cuts.sort()
+        for k, (t0, step, v0) in enumerate(cuts):
+            violated += step
+            if not violated:
+                t1, _, v1 = cuts[k + 1 - len(cuts)]  # the last arc wraps to the first cut
+                span = t1 - t0 if k + 1 < len(cuts) else (t1 - t0) + _TAU
+                arcs[v0 if sign > 0 else v1] = (v1 if sign > 0 else v0, x, y, sign, t0, span)
+    while arcs:
+        first, arc = arcs.popitem()
+        loop = [arc]
+        while loop[-1][0] != first and loop[-1][0] in arcs:
+            loop.append(arcs.pop(loop[-1][0]))
+        closed = loop[-1][0] == first
+        px = py = 0.0  # the arc's first vertex, relative to the loop's
+        for _, x, y, sign, t0, span in loop:
+            if not closed:
+                # cut angles rounded inconsistently near a point shared by
+                # three circles: place vertices relative to inside[0]
+                t = t0 if sign > 0 else t0 + span
+                px, py = x + math.cos(t), y + math.sin(t)
+            mid, h = t0 + 0.5 * span, 2.0 * sign * math.sin(0.5 * span)
+            cx, cy = -h * math.sin(mid), h * math.cos(mid)  # the chord, along the travel
+            total += 0.5 * (px * cy - py * cx) + sign * _segment(span)
+            px, py = px + cx, py + cy
+    return max(total, 0.0)
 
 
 def triple_disk_intersection_area(o, q, u) -> float:
-    """Exact area of the intersection of the three unit disks about o, q, u.
-
-    The intersection is convex; its boundary vertices are the pairwise
-    circle-intersection points that lie inside the remaining disk.  The
-    area is assembled as the polygon spanned by those vertices plus one
-    circular segment per boundary arc.  Degenerate cases (coincident
-    centers, disjoint or tangent pairs, fewer than three vertices) reduce
-    to a pairwise lens or to zero.
-    """
+    """Exact area of the intersection of the three unit disks about o, q, u;
+    coincident centers merge, so it reduces to a lens or a disk where due."""
     _require_finite(o, q, u)
-    centers = [o, q, u]
-    d_oq, d_ou, d_qu = dist(o, q), dist(o, u), dist(q, u)
-
-    # coincident centers collapse to a two-disk problem
-    if d_oq < TANGENCY_EPS:
-        return lens_area(d_ou)
-    if d_ou < TANGENCY_EPS or d_qu < TANGENCY_EPS:
-        return lens_area(d_oq)
-    if max(d_oq, d_ou, d_qu) >= 2.0 - TANGENCY_EPS:
-        return 0.0
-
-    verts: list[tuple[Point2D, tuple[int, int]]] = []
-    for a_i, b_i, c_i in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        third = centers[c_i]
-        for pt in circle_intersection_points(centers[a_i], centers[b_i]):
-            dx, dy = pt[0] - third[0], pt[1] - third[1]
-            if dx * dx + dy * dy <= 1.0 + 2.0 * _VERTEX_EPS:
-                verts.append((pt, (a_i, b_i)))
-
-    if len(verts) <= 1:
-        return 0.0
-    if len(verts) == 2:
-        (p1, pair1), (p2, pair2) = verts
-        if pair1 != pair2:
-            return 0.0  # two tangency-grade vertices, measure-zero region
-        a_i, b_i = pair1
-        return lens_area(dist(centers[a_i], centers[b_i]))
-
-    pts = np.array([v[0] for v in verts], dtype=float)
-    centroid = pts.mean(axis=0)
-    order = np.argsort(np.arctan2(pts[:, 1] - centroid[1], pts[:, 0] - centroid[0]))
-    pts = pts[order]
-
-    area = _shoelace(pts)
-    m = len(pts)
-    for k in range(m):
-        v1 = pts[k]
-        v2 = pts[(k + 1) % m]
-        area += _boundary_segment_area(v1, v2, centers, centroid)
-    return area
-
-
-def _boundary_segment_area(v1, v2, centers, centroid) -> float:
-    """Circular-segment area between chord v1-v2 and the boundary arc joining them."""
-    chord = math.hypot(v2[0] - v1[0], v2[1] - v1[1])
-    if chord < 1e-15:
-        return 0.0
-    mx, my = 0.5 * (v1[0] + v2[0]), 0.5 * (v1[1] + v2[1])
-
-    # candidate boundary circles pass through both vertices
-    best = None
-    best_overshoot = math.inf
-    for c in centers:
-        r1 = math.hypot(v1[0] - c[0], v1[1] - c[1])
-        r2 = math.hypot(v2[0] - c[0], v2[1] - c[1])
-        if abs(r1 - 1.0) > 1e-8 or abs(r2 - 1.0) > 1e-8:
-            continue
-        # midpoint of the arc on the far side of the chord from the center
-        wx, wy = mx - c[0], my - c[1]
-        wn = math.hypot(wx, wy)
-        if wn < 1e-12:
-            # chord is a diameter: bulge away from the region instead
-            wx, wy = mx - centroid[0], my - centroid[1]
-            wn = math.hypot(wx, wy)
-            if wn < 1e-12:
-                continue
-        ax, ay = c[0] + wx / wn, c[1] + wy / wn
-        overshoot = max(
-            math.hypot(ax - cc[0], ay - cc[1]) - 1.0 for cc in centers
-        )
-        if overshoot < best_overshoot:
-            best_overshoot = overshoot
-            best = c
-    if best is None or best_overshoot > 1e-6:
-        # no circle's outward arc stays inside the region: straight edge
-        return 0.0
-    theta = 2.0 * math.asin(min(1.0, 0.5 * chord))
-    return 0.5 * (theta - math.sin(theta))
+    return _region_area((o, q, u), ())
 
 
 def omitted_area(o, q, u) -> float:
     """Area of the part of the unit disk about ``o`` covered by neither the
     unit disk about ``q`` nor the one about ``u``.
 
-    Computed by inclusion-exclusion from the pairwise lenses and the
-    exact triple-disk intersection; the result lies in [0, pi] and is
-    symmetric in q and u.
+    Computed from the omitted region's own boundary arcs, not as
+    pi - lens - lens + triple, whose O(1) terms cancel; the result lies in
+    [0, pi] and is symmetric in q and u.
     """
     _require_finite(o, q, u)
     if (q[0], q[1]) > (u[0], u[1]):
         q, u = u, q  # canonical order makes the symmetry bitwise exact
-    val = (
-        math.pi
-        - lens_area(dist(o, q))
-        - lens_area(dist(o, u))
-        + triple_disk_intersection_area(o, q, u)
-    )
-    return min(max(val, 0.0), math.pi)
+    return min(_region_area((o,), (q, u)), math.pi)
 
 
 def omitted_area_at_angle(center, delta: float, phi2: float) -> float:

@@ -343,6 +343,13 @@ class ScheduleSpec:
 
 
 _SCHEDULE_KEYS = ("n", "ell_rule", "trials", "seed")
+_ELL_RULE_KEYS = ("kind", "value")
+
+
+def _reject_unknown_keys(mapping, allowed: tuple[str, ...], where: str = "") -> None:
+    unknown = [key for key in mapping if key not in allowed]
+    if unknown:
+        raise ValueError(f"unknown {where}key {unknown[0]!r}, expected {allowed}")
 
 
 @dataclass(frozen=True)
@@ -352,16 +359,16 @@ class SweepConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
         """Parse ``{"schedules": [{"n", "ell_rule": {"kind", "value"},
-        "trials", "seed"}, ...]}``; any other schedule key is an error."""
+        "trials", "seed"}, ...]}``; any other key of a schedule or of its
+        ``ell_rule`` is an error."""
         if not isinstance(data, dict) or "schedules" not in data:
             raise ValueError("sweep config must be an object with a 'schedules' list")
         specs = []
         for pos, entry in enumerate(data["schedules"]):
             try:
-                unknown = [key for key in entry if key not in _SCHEDULE_KEYS]
-                if unknown:
-                    raise ValueError(f"unknown key {unknown[0]!r}, expected {_SCHEDULE_KEYS}")
+                _reject_unknown_keys(entry, _SCHEDULE_KEYS)
                 rule = entry["ell_rule"]
+                _reject_unknown_keys(rule, _ELL_RULE_KEYS, "ell_rule ")
                 spec = ScheduleSpec(
                     n=int(entry["n"]),
                     ell_kind=str(rule["kind"]),

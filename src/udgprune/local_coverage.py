@@ -334,12 +334,13 @@ def z_tail_check(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    samples = colored_trials(center, square, 0, b, trials, seed, log_exponent)
-    stats = [sector_stats(sample) for sample in samples]
+    stats = []
+    for sample in colored_trials(center, square, 0, b, trials, seed, log_exponent):
+        stats.append(sector_stats(sample))
     counts = np.array([st.core_blue for st in stats], dtype=np.int64)
     threshold = stats[0].core_bound  # the same for every trial
     lam = clipped_disk_density(center, square)
-    delta = SectorFrame(Point2D(*map(float, center)), b, log_exponent).delta
+    delta = sample.frame.delta  # the frame every sample used; b < 3 borrows b = 3's
     expected = b * lam * delta**2
     tail = float(np.mean(counts >= threshold))
     bound = math.exp(-(b ** (1.0 / 3.0)) / (4.0 * math.log(b) ** 2))

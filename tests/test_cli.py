@@ -191,6 +191,11 @@ class TestSweep:
         cfg.write_text(json.dumps(data))
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert "schedules[0]: unknown key 'alpha_profile'" in capsys.readouterr().err
+        del data["schedules"][0]["alpha_profile"]
+        data["schedules"][0]["ell_rule"]["vaule"] = 3
+        cfg.write_text(json.dumps(data))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert "schedules[0]: unknown ell_rule key 'vaule'" in capsys.readouterr().err
 
     def test_rows_replay_with_run_rule2(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, trials=2)

@@ -150,6 +150,30 @@ class TestOmittedArea:
         assert 0.0 <= v <= math.pi
 
 
+_COORD = st.floats(-2.0, 2.0)
+_OFFSET = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+class TestAreaInvariants:
+    @given(
+        o=st.tuples(_COORD, _COORD),
+        dq=_OFFSET,
+        du=_OFFSET,
+        spread=st.one_of(st.just(2.2), st.floats(0.0, 1e-7)),
+    )
+    def test_triple_within_lenses_and_omitted_in_range(self, o, dq, du, spread):
+        # near-coincident centers (spread <= 1e-7) once gave triple = pi,
+        # above the smallest lens; 1e-14 is a few ulps of the O(1) terms
+        q = (o[0] + spread * dq[0], o[1] + spread * dq[1])
+        u = (o[0] + spread * du[0], o[1] + spread * du[1])
+        triple = geo.triple_disk_intersection_area(o, q, u)
+        lenses = [geo.lens_area(geo.dist(a, c)) for a, c in ((o, q), (o, u), (q, u))]
+        assert 0.0 <= triple <= min(lenses) + 1e-14
+        omitted = geo.omitted_area(o, q, u)
+        assert 0.0 <= omitted <= math.pi
+        assert omitted == geo.omitted_area(o, u, q)
+
+
 class TestOmittedAreaAtAngle:
     def test_phi2_domain(self):
         with pytest.raises(ValueError):

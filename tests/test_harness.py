@@ -257,6 +257,9 @@ class TestSweep:
         for key in ("alpha_profile", "trails"):
             with pytest.raises(ValueError, match=rf"schedules\[0\]: unknown key '{key}'"):
                 hz.SweepConfig.from_dict({"schedules": [dict(entry, **{key: 1})]})
+        rule = {"kind": "sqrt", "value": 1.0, "vaule": 3}
+        with pytest.raises(ValueError, match=r"schedules\[0\]: unknown ell_rule key 'vaule'"):
+            hz.SweepConfig.from_dict({"schedules": [dict(entry, ell_rule=rule)]})
 
 
 class TestConditionalPruneRate:

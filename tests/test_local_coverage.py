@@ -282,6 +282,15 @@ class TestCoreTail:
         delta = 1.0 / (3000 ** (1 / 3) * math.log(3000))
         assert rep.expected_core == pytest.approx(3000 * delta**2, rel=1e-12)
 
+    def test_b_2_uses_the_borrowed_frame(self):
+        # sample_colored draws b = 2 on the b = 3 frame; the expected core
+        # count must use that frame's radius, not a b = 2 frame (which has
+        # no sectors and raises)
+        rep = lc.z_tail_check(CENTER, SQUARE, b=2, trials=3, seed=0)
+        delta = SectorFrame(Point2D(*CENTER), 3).delta
+        assert rep.trials == 3
+        assert rep.expected_core == pytest.approx(2 * delta**2, rel=1e-12)
+
 
 class TestDensityBounds:
     def test_density_between_one_and_four(self):
