@@ -162,7 +162,7 @@ class TestAreaInvariants:
         spread=st.one_of(st.just(2.2), st.floats(0.0, 1e-7)),
     )
     def test_triple_within_lenses_and_omitted_in_range(self, o, dq, du, spread):
-        # near-coincident centers (spread <= 1e-7) once gave triple = pi,
+        # near-coincident centers (spread <= 1e-7) must not give triple = pi,
         # above the smallest lens; 1e-14 is a few ulps of the O(1) terms
         q = (o[0] + spread * dq[0], o[1] + spread * dq[1])
         u = (o[0] + spread * du[0], o[1] + spread * du[1])
