@@ -331,9 +331,12 @@ def z_tail_check(
 
     The core count is Binomial(b, density * delta^2), so its mean is also
     checked against b * density * delta^2 within three standard errors.
+    Needs b >= 2: the bound divides by ln b.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if b < 2:
+        raise ValueError(f"b={b} too small: the Chernoff bound needs b >= 2 (it divides by ln b)")
     stats = []
     for sample in colored_trials(center, square, 0, b, trials, seed, log_exponent):
         stats.append(sector_stats(sample))

@@ -95,6 +95,15 @@ class TestVerify:
         assert "vertex id 2 appears twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run-rule2", "verify"])
+@pytest.mark.parametrize("header", ["0 5.0 0", "-1 5.0 0", "1 5.0 x"], ids=["n0", "n-1", "seed-x"])
+def test_bad_graph_header_exits_one(tmp_path, capsys, command, header):
+    path = tmp_path / "hdr.txt"
+    path.write_text(header + "\n")
+    assert main([command, "--graph", str(path)]) == 1
+    assert f"bad graph header in {path}" in capsys.readouterr().err
+
+
 class TestLocalCoverage:
     def test_csv_and_summary(self, tmp_path, capsys):
         out = tmp_path / "cov.csv"

@@ -291,6 +291,15 @@ class TestCoreTail:
         assert rep.trials == 3
         assert rep.expected_core == pytest.approx(2 * delta**2, rel=1e-12)
 
+    def test_b_1_rejected_before_any_trial(self, monkeypatch):
+        # the Chernoff bound divides by ln b, which is 0 at b = 1
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(lc, "colored_trials", no_trials)
+        with pytest.raises(ValueError, match="b=1 too small"):
+            lc.z_tail_check(CENTER, SQUARE, b=1, trials=3, seed=0)
+
 
 class TestDensityBounds:
     def test_density_between_one_and_four(self):

@@ -1,6 +1,7 @@
 """Random point sampling and unit-disk-graph construction."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,11 @@ from scipy import stats
 
 from udgprune import rgg
 from udgprune.geometry import SquareRegion
+
+# a committed file in the `save_graph` format, so any change to how lines
+# are formatted shows as a byte difference: 20 vertices, side 2.5, with
+# coordinates 0.0, exactly the side, 5e-05, 1e-07 and 1/3
+GOLDEN = Path(__file__).parent / "data" / "golden_graph.txt"
 
 
 class TestSamplePoints:
@@ -154,7 +160,31 @@ class TestSerialization:
         g2 = rgg.load_graph(path)
         assert g2.n == g.n and g2.square.side == g.square.side and g2.seed == 77
         assert (g2.points == g.points).all()
-        assert set(map(tuple, g2.edges)) == set(map(tuple, g.edges))
+        assert np.array_equal(g2.edges, g.edges)
+
+    def test_golden_file_reads_and_rewrites_byte_for_byte(self, tmp_path):
+        g = rgg.load_graph(GOLDEN)
+        assert g.n == 20 and g.square.side == 2.5 and g.seed == 7
+        assert g.points[1].tolist() == [2.5, 2.5]
+        assert g.points[2].tolist() == [5e-05, 1e-07]
+        assert g.points[3].tolist() == [1 / 3, 2 / 3]
+        path = tmp_path / "again.txt"
+        rgg.save_graph(g, path)
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+    def test_shuffled_ids_and_blank_lines_load(self, tmp_path):
+        path = tmp_path / "shuffled.txt"
+        path.write_text("3 5.0 0\n\n3 3.0 3.5\n   \n1 1.0 1.5\n2 1.5 1.0\n\n")
+        g = rgg.load_graph(path)
+        assert g.points.tolist() == [[1.0, 1.5], [1.5, 1.0], [3.0, 3.5]]
+        assert g.edges.tolist() == [[0, 1]]
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_body_reports_missing_vertices(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("3 5.0 0\n\n")
+        with pytest.raises(ValueError, match=r"graph file .*empty\.txt is missing 3 vertices"):
+            rgg.load_graph(path)
 
     def test_missing_vertices_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -170,10 +200,55 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"vertex id 2 appears twice in .*dup\.txt"):
             rgg.load_graph(path)
 
+    def test_first_repeating_line_is_named(self, tmp_path):
+        # IDs 3, 1, 3, 1: the third line is the first to repeat an ID
+        path = tmp_path / "dup.txt"
+        path.write_text("3 5.0 0\n3 1.0 1.0\n1 2.0 2.0\n3 3.0 3.0\n1 4.0 4.0\n")
+        with pytest.raises(ValueError, match=r"vertex id 3 appears twice in .*dup\.txt"):
+            rgg.load_graph(path)
+
+    @pytest.mark.parametrize(
+        "body,lineno",
+        [
+            ("1 1.0 1.0\n\n2 2.0\n3 3.0 3.0\n", 4),
+            ("1 1.0 1.0\n2 2.0 2.0 7\n3 3.0 3.0\n", 3),
+            ("1 1.0 1.0\n\n\n1.5 2.0 2.0\n3 3.0 3.0\n", 5),
+            ("# note\n1 1.0 1.0\n2 2.0 2.0\n3 3.0 3.0\n", 2),
+            ("1 1.0 1.0\n2 2.0 2.0\n3 x 3.0\n", 4),
+        ],
+        ids=["two-fields", "four-fields", "float-id", "comment", "bad-float"],
+    )
+    def test_malformed_line_named(self, tmp_path, body, lineno):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 5.0 0\n" + body)
+        with pytest.raises(ValueError, match=rf"bad vertex line in .*bad\.txt: line {lineno}:"):
+            rgg.load_graph(path)
+
+    def test_out_of_range_id_rejected(self, tmp_path):
+        path = tmp_path / "range.txt"
+        path.write_text("3 5.0 0\n1 1.0 1.0\n4 2.0 2.0\n3 3.0 3.0\n")
+        with pytest.raises(ValueError, match=r"vertex id 4 out of range 1\.\.3 in .*range\.txt"):
+            rgg.load_graph(path)
+
+    def test_nan_coordinate_rejected(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("2 5.0 0\n1 1.0 1.0\n2 nan 2.0\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            rgg.load_graph(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 5.0\n")
         with pytest.raises(ValueError):
+            rgg.load_graph(path)
+
+    @pytest.mark.parametrize(
+        "header", ["0 5.0 0", "-1 5.0 0", "1 5.0 x", "1 -5.0 0"], ids=["n0", "n-1", "seed-x", "side<0"]
+    )
+    def test_bad_header_values_rejected(self, tmp_path, header):
+        path = tmp_path / "hdr.txt"
+        path.write_text(header + "\n1 1.0 1.0\n")
+        with pytest.raises(ValueError, match=r"bad graph header in .*hdr\.txt"):
             rgg.load_graph(path)
 
 
