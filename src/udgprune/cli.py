@@ -258,7 +258,13 @@ def _cmd_verify(args) -> int:
     g = rgg.load_graph(args.graph)
     if args.cds is not None:
         with open(args.cds) as fh:
-            ids = [int(tok) for tok in fh.read().split()]
+            tokens = fh.read().split()
+        ids = []
+        for k, tok in enumerate(tokens, start=1):
+            try:
+                ids.append(int(tok))
+            except ValueError:
+                raise ValueError(f"bad vertex id in {args.cds}: token {k}: {tok!r}") from None
         cds = rule2.GatewaySet(members=tuple(sorted(ids)))
         source = "file"
     else:

@@ -14,6 +14,7 @@ formatted and written in blocks, and the body is parsed by one
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -248,8 +249,8 @@ def load_graph(path) -> UnitDiskGraph:
     ``id x y`` with an integer id; the ids must be 1..n, each exactly once,
     in any order.  Blank lines are ignored; there are no comments, so a
     ``#`` line is malformed.  Every violation raises `ValueError` naming
-    the file (and, for a malformed line, its 1-based line number); points
-    outside the square or not finite are rejected by `build_udg`.
+    the file, and for a malformed line or a point that is not finite or
+    lies outside the square, the 1-based file line (and the vertex id).
     """
     points, square, seed = _read_points(path)
     return build_udg(points, square, seed=seed)
@@ -299,7 +300,25 @@ def _read_points(path) -> tuple[np.ndarray, SquareRegion, int]:
         raise ValueError(f"vertex id {ids[first.argmin()]} appears twice in {path}")
     if len(ids) < n:
         raise ValueError(f"graph file {path} is missing {n - len(ids)} vertices")
+    x, y = rows["x"], rows["y"]
+    inside = (x >= 0) & (x <= square.side) & (y >= 0) & (y <= square.side)  # false for NaN
+    if not inside.all():
+        k = int(inside.argmin())
+        if np.isfinite([x[k], y[k]]).all():
+            problem = f"at ({float(x[k])!r}, {float(y[k])!r}) lies outside the square of side {square.side!r}"
+        else:
+            problem = "has non-finite coordinates"
+        raise ValueError(f"bad point in {path}: line {_body_line(path, k)}: vertex {ids[k]} {problem}")
     points = np.empty((n, 2), dtype=float)
     points[ids - 1, 0] = rows["x"]
     points[ids - 1, 1] = rows["y"]
     return points, square, seed
+
+
+def _body_line(path, k: int) -> int:
+    """1-based file line of the k-th (0-based) non-blank body line, the
+    line `np.loadtxt` parsed into row k."""
+    with open(path) as fh:
+        fh.readline()
+        body = (lineno for lineno, line in enumerate(fh, start=2) if line.strip())
+        return next(itertools.islice(body, k, None))

@@ -5,11 +5,16 @@ vertices i1 > i2 > i that jointly cover it.  Exclusion decisions are
 evaluated independently per vertex against the original graph (the rule
 is one-shot, never re-applied to the pruned graph), so `prune` decides
 all vertices together as array operations, one block of vertices at a
-time: each higher-ID neighbour a of i gets a bit mask over N[i] of the
-members a does not cover, and i is excluded when two adjacent such
-neighbours have masks with no common bit.  The retained vertices
-("gateways") form a dominating set that preserves the host graph's
-component count.
+time, in two phases.  First, each vertex with enough higher neighbours
+tries one witness pair, as in the paper's argument: its nearest higher
+neighbour a and the higher neighbour adjacent to a on the opposed side
+of i.  Then each remaining vertex gets, for each higher-ID neighbour a, a
+bit mask over N[i] of the members a does not cover, and it is excluded
+when two adjacent such neighbours have masks with no common bit.  The
+witness pair costs a few passes over a row where the masks cost one per
+higher neighbour, so only vertices with at least ``_WITNESS_MIN_UP``
+higher neighbours try it.  The retained vertices ("gateways") form a
+dominating set that preserves the host graph's component count.
 """
 
 from __future__ import annotations
@@ -99,18 +104,38 @@ def is_excluded(g: UnitDiskGraph, i: int) -> Optional[ExclusionWitness]:
 # array of a block is a small multiple of this
 _BLOCK_CELLS = 1 << 17
 
+# fewest higher neighbours for which `_covered` tries the witness pair first:
+# that try costs about 5 passes over a row of width deg+1, and the miss masks
+# it may save cost one such pass per higher neighbour, so below this the try
+# costs more than it saves.  Its temporaries hold one row per vertex, fewer
+# than the masks' one row per up-pair, so they stay within ``_BLOCK_CELLS``.
+_WITNESS_MIN_UP = 6
+
 
 def prune(g: UnitDiskGraph) -> GatewaySet:
     """All vertices not excluded by the rule, in ascending ID order.
 
-    For each up-pair (i, a), with a a neighbour of i and a > i, a miss
-    mask over N[i] = [i] + nbr(i) has a bit for each member that a does
-    not cover, packed into ceil(|N[i]| / 64) uint64 words.  The partners
-    b of a are the members above a that a covers, which are exactly the
-    higher neighbours of i adjacent to a; i is excluded when some partner
-    has ``miss_a & miss_b == 0``.  Vertices are taken in blocks of about
-    ``_BLOCK_CELLS`` (up-pair, slot) cells, so memory stays bounded at
-    any degree.
+    Vertices are decided in blocks of about ``_BLOCK_CELLS`` (up-pair,
+    slot) cells, so memory stays bounded at any degree, and each block
+    runs two phases over the same padded rows of N[i] = [i] + nbr(i).
+
+    1. Witness pair, for vertices with at least ``_WITNESS_MIN_UP`` higher
+       neighbours: a is the nearest higher neighbour of i, and b the
+       higher neighbour adjacent to a that lies nearest to 2 p_i - p_a, the
+       reflection of a through i, so a and b sit on opposed sides as in the
+       paper's argument.  i is excluded if D_a and D_b together cover
+       N[i].  This settles most excluded vertices at a few passes per row.
+    2. Miss masks, for the vertices phase 1 skipped or did not exclude:
+       each up-pair (i, a), with a a neighbour of i and a > i, gets a mask
+       over N[i] with a bit for each member that a does not cover, packed
+       into ceil(|N[i]| / 64) uint64 words.  The partners b of a are the
+       members above a that a covers, which are exactly the higher
+       neighbours of i adjacent to a; i is excluded when some partner has
+       ``miss_a & miss_b == 0``.
+
+    Phase 1 only picks which pair to test first and excludes only on an
+    exact coverage test of an adjacent higher pair, so the kept set is the
+    one phase 2 alone gives.
     """
     n = g.n
     deg = np.diff(g.nbr_offsets)
@@ -131,11 +156,22 @@ def prune(g: UnitDiskGraph) -> GatewaySet:
 def _covered(g: UnitDiskGraph, verts, deg, low, up) -> np.ndarray:
     """Mask over ``verts`` (0-based indices) of the vertices that some
     adjacent pair of their higher neighbours covers."""
+    xs, ys = _closed_rows(g, verts, deg)
+    covered = np.zeros(len(verts), dtype=bool)
+    first = np.flatnonzero(up >= _WITNESS_MIN_UP)
+    covered[first] = _witness_covers(xs[first], ys[first], low[first])
+    rest = np.flatnonzero(~covered)
+    covered[rest] = _masks_cover(xs, ys, rest, low[rest], up[rest])
+    return covered
+
+
+def _closed_rows(g: UnitDiskGraph, verts, deg) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of N[i], one row per vertex of ``verts``: column 0 is i
+    and columns 1..deg are nbr(i) ascending, so the higher neighbours sit
+    in columns low+1..deg.  Rows are padded with NaN to the widest, and
+    NaN compares false both ways, so a padded slot is neither covered nor
+    missed by anything."""
     rows, width = len(verts), int(deg.max()) + 1
-    # coordinates of N[i], one row per vertex: column 0 is i and columns
-    # 1..deg are nbr(i) ascending, so the higher neighbours sit in columns
-    # low+1..deg.  NaN padding compares false both ways, so a padded slot
-    # is neither a miss nor a partner.
     xs = np.full((rows, width), np.nan)
     ys = np.full((rows, width), np.nan)
     r = np.repeat(np.arange(rows), deg)
@@ -143,9 +179,36 @@ def _covered(g: UnitDiskGraph, verts, deg, low, up) -> np.ndarray:
     nbr = g.nbr_flat[g.nbr_offsets[verts][r] + j] - 1
     xs[:, 0], ys[:, 0] = g.points[verts].T
     xs[r, j + 1], ys[r, j + 1] = g.points[nbr].T
+    return xs, ys
 
+
+def _witness_covers(xs, ys, low) -> np.ndarray:
+    """Phase 1 of `prune` on rows from `_closed_rows`: mask of the rows
+    whose witness pair (a, b) covers N[i]."""
+    rows = np.arange(len(xs))
+    # every real member of N[i] is within 1 of i, and padding is NaN
+    higher = np.arange(xs.shape[1]) > low[:, None]
+    di = _sq_dist(xs - xs[:, :1], ys - ys[:, :1])
+    higher &= di <= 1.0
+    a = np.where(higher, di, np.inf).argmin(axis=1)
+    da = _sq_dist(xs - xs[rows, a][:, None], ys - ys[rows, a][:, None])
+
+    # |p - (2 p_i - p_a)|^2 = 2 |p - p_i|^2 - |p - p_a|^2 + const per row
+    partner = higher & (da <= 1.0)
+    partner[rows, a] = False
+    b = np.where(partner, 2.0 * di - da, np.inf).argmin(axis=1)
+    db = _sq_dist(xs - xs[rows, b][:, None], ys - ys[rows, b][:, None])
+    missed = (da > 1.0) & (db > 1.0)
+    return partner[rows, b] & ~missed.any(axis=1)
+
+
+def _masks_cover(xs, ys, rest, low, up) -> np.ndarray:
+    """Phase 2 of `prune` on the rows ``rest`` of `_closed_rows`: mask over
+    ``rest`` of the rows where some up-pair's miss mask and a partner's
+    have no common bit."""
+    width = xs.shape[1]
     # one row per up-pair (i, a); ``col`` is the column of a in row i
-    row = np.repeat(np.arange(rows), up)
+    row = np.repeat(rest, up)
     col = np.arange(len(row)) + np.repeat(low + 1 - (np.cumsum(up) - up), up)
     dx = xs[row]
     dx -= xs[row, col][:, None]
@@ -165,9 +228,9 @@ def _covered(g: UnitDiskGraph, verts, deg, low, up) -> np.ndarray:
     # the up-pairs of a row are consecutive and in column order
     other = pair + flat % width - col[pair]
     hit = ~(words[pair] & words[other]).any(axis=1)
-    covered = np.zeros(rows, dtype=bool)
+    covered = np.zeros(len(xs), dtype=bool)
     covered[row[pair[hit]]] = True
-    return covered
+    return covered[rest]
 
 
 def brute_force_prune(g: UnitDiskGraph) -> GatewaySet:
@@ -230,8 +293,8 @@ def verify_cds(g: UnitDiskGraph, c: GatewaySet) -> CdsReport:
     covered = in_c.copy()
     if len(g.edges):
         ei, ej = g.edges[:, 0], g.edges[:, 1]
-        np.logical_or.at(covered, ei, in_c[ej])
-        np.logical_or.at(covered, ej, in_c[ei])
+        covered[ei[in_c[ej]]] = True
+        covered[ej[in_c[ei]]] = True
     dominating = bool(covered.all())
 
     n_graph, _ = components(g)

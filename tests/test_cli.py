@@ -88,6 +88,12 @@ class TestVerify:
         assert main(["verify", "--graph", str(graph_file), "--cds", str(cds)]) == 1
         assert "duplicate" in capsys.readouterr().err
 
+    def test_non_integer_cds_token_exits_one(self, graph_file, tmp_path, capsys):
+        cds = tmp_path / "cds.txt"
+        cds.write_text("1 x")
+        assert main(["verify", "--graph", str(graph_file), "--cds", str(cds)]) == 1
+        assert f"bad vertex id in {cds}: token 2: 'x'" in capsys.readouterr().err
+
     def test_duplicate_vertex_line_exits_one(self, tmp_path, capsys):
         path = tmp_path / "dup.txt"
         path.write_text("3 5.0 0\n1 1.0 1.0\n2 2.0 2.0\n2 3.0 3.0\n3 4.0 4.0\n")
@@ -249,3 +255,16 @@ class TestGeomCheck:
             ) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("command", ["run-rule2", "verify"])
+@pytest.mark.parametrize(
+    "line,problem",
+    [("2 nan 2.0", "has non-finite coordinates"), ("2 5.5 2.0", "at (5.5, 2.0) lies outside the square of side 5.0")],
+    ids=["non-finite", "outside"],
+)
+def test_bad_point_exits_one(tmp_path, capsys, command, line, problem):
+    path = tmp_path / "pts.txt"
+    path.write_text(f"2 5.0 0\n1 1.0 1.0\n\n{line}\n")
+    assert main([command, "--graph", str(path)]) == 1
+    assert f"bad point in {path}: line 4: vertex 2 {problem}" in capsys.readouterr().err

@@ -233,7 +233,24 @@ class TestSerialization:
     def test_nan_coordinate_rejected(self, tmp_path):
         path = tmp_path / "nan.txt"
         path.write_text("2 5.0 0\n1 1.0 1.0\n2 nan 2.0\n")
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=r"bad point in .*nan\.txt: line 3: vertex 2 has non-finite"):
+            rgg.load_graph(path)
+
+    @pytest.mark.parametrize(
+        "line,problem",
+        [
+            ("3 2.0 -inf", r"has non-finite coordinates"),
+            ("3 5.0 5.000000000000001", r"at \(5\.0, 5\.000000000000001\) lies outside the square of side 5\.0"),
+            ("3 -0.5 1.0", r"at \(-0\.5, 1\.0\) lies outside"),
+        ],
+        ids=["-inf", "above-side", "negative"],
+    )
+    def test_bad_point_names_file_line_and_vertex(self, tmp_path, line, problem):
+        # the bad line is the second body line but file line 4, after a blank
+        # line, and the later bad line 5 is not the one named
+        path = tmp_path / "pts.txt"
+        path.write_text(f"3 5.0 0\n2 1.0 1.0\n\n{line}\n1 7.0 7.0\n")
+        with pytest.raises(ValueError, match=rf"bad point in .*pts\.txt: line 4: vertex 3 {problem}"):
             rgg.load_graph(path)
 
     def test_bad_header_rejected(self, tmp_path):

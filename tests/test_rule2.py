@@ -153,6 +153,55 @@ class TestBruteForceOracle:
             g = rgg.build_udg(pts, sq)
             assert rule2.prune(g).members == rule2.brute_force_prune(g).members
 
+    def test_matches_fast_path_on_small_dense_graphs(self):
+        # each graph has candidates on both sides of the witness cut-off, so
+        # both the witness pair and the miss masks decide some vertices
+        rng = np.random.default_rng(61)
+        for seed in range(12):
+            n, side = int(rng.integers(60, 201)), float(rng.uniform(2.0, 4.0))
+            sq = SquareRegion(side)
+            g = rgg.build_udg(rgg.sample_points(n, sq, seed=seed + 6000), sq)
+            up = _up_counts(g)
+            assert ((up >= 2) & (up < rule2._WITNESS_MIN_UP)).any()
+            assert (up >= rule2._WITNESS_MIN_UP).any()
+            assert rule2.prune(g).members == rule2.brute_force_prune(g).members
+
+
+def _up_counts(g):
+    """Higher-ID neighbours of each vertex (0-based index)."""
+    return np.diff(g.nbr_offsets) - np.bincount(g.edges[:, 1], minlength=g.n)
+
+
+class TestWitnessPhase:
+    def test_masks_decide_what_the_witness_pair_misses(self):
+        n = 500
+        sq = SquareRegion(rgg.ell_sqrt(n))
+        g = rgg.build_udg(rgg.sample_points(n, sq, seed=8), sq)
+        deg, up = np.diff(g.nbr_offsets), _up_counts(g)
+        verts = np.flatnonzero(up >= rule2._WITNESS_MIN_UP)
+        xs, ys = rule2._closed_rows(g, verts, deg[verts])
+        by_pair = set((verts[rule2._witness_covers(xs, ys, deg[verts] - up[verts])] + 1).tolist())
+
+        members = rule2.prune(g).members
+        assert members == rule2.brute_force_prune(g).members
+        excluded = set(range(1, n + 1)) - set(members)
+        assert by_pair and by_pair <= excluded
+        # vertices the witness pair was tried on and missed, which only the
+        # miss masks exclude
+        assert (excluded & set((verts + 1).tolist())) - by_pair
+
+    def test_witness_pair_must_cover_exactly(self):
+        # vertex 2 has six higher neighbours on a line through it; its
+        # witness pair is a (+0.05) and b (-0.0501), and vertex 1 lies
+        # just outside both of their disks (squared distances 1.00005 and
+        # 1.00006), as it does for every other pair, so vertex 2 is kept
+        above = np.sqrt(0.99755)
+        offsets = [0.05, -0.0501, 0.06, 0.07, 0.08, -0.09]
+        g = _graph([[2.0, 2.0 + above], [2.0, 2.0]] + [[2.0 + d, 2.0] for d in offsets], side=4.0)
+        assert _up_counts(g)[1] == rule2._WITNESS_MIN_UP
+        assert 2 in rule2.brute_force_prune(g).members
+        assert rule2.prune(g).members == rule2.brute_force_prune(g).members
+
 
 class TestVerifyCds:
     def test_all_vertices_always_valid(self):
