@@ -209,14 +209,9 @@ def all_vertex_stats(g, schedule: Schedule) -> VertexStatsArrays:
     """`VertexStats` columns for all vertices (one pass over the graph)."""
     n = g.n
     ids = np.arange(1, n + 1)
-    higher = np.zeros(n, dtype=np.int64)
-    lower = np.zeros(n, dtype=np.int64)
-    if len(g.edges):
-        lo = np.minimum(g.edges[:, 0], g.edges[:, 1])
-        hi = np.maximum(g.edges[:, 0], g.edges[:, 1])
-        # for index pairs lo < hi the higher label sits at hi
-        np.add.at(higher, lo, 1)
-        np.add.at(lower, hi, 1)
+    # each edge (i, j) has i < j: j is a higher neighbour of i
+    higher = np.bincount(g.edges[:, 0], minlength=n).astype(np.int64, copy=False)
+    lower = np.bincount(g.edges[:, 1], minlength=n).astype(np.int64, copy=False)
     side = g.square.side
     xs, ys = g.points[:, 0], g.points[:, 1]
     # at distance >= 1 from every side truncated_disk_area is exactly pi

@@ -5,11 +5,12 @@ pruning rule uses.  Adjacency joins vertices at Euclidean distance <= 1.
 It is built by a cell join: the points are sorted by unit-side cell, and
 each cell is joined with itself and four of its neighbours through
 ``searchsorted`` ranges, so a radius-1 query touches at most a 3x3 block
-of cells and no Python loop runs per cell.  A constructed graph is
-immutable and safe to share across workers.  `save_graph` and `load_graph`
-move a graph through a text file of its points in bulk: lines are
-formatted and written in blocks, and the body is parsed by one
-``np.loadtxt`` call and checked with array operations.
+of cells and no Python loop runs per cell.  The join and the adjacency
+fill run in passes of bounded size, and vertex indices are int32.  A
+constructed graph is immutable and safe to share across workers.
+`save_graph` and `load_graph` move a graph through a text file of its
+points in bulk: lines are formatted and written in blocks, and the body
+is parsed by one ``np.loadtxt`` call and checked with array operations.
 """
 
 from __future__ import annotations
@@ -64,8 +65,13 @@ class UnitDiskGraph:
     """Immutable unit disk graph over ID-labeled points.
 
     ``points[j]`` holds the position of vertex ID j+1.  ``edges`` is an
-    (m, 2) array of 0-based index pairs with i < j; the CSR-style arrays
-    ``nbr_flat``/``nbr_offsets`` give each vertex's sorted neighbor IDs.
+    (m, 2) int32 array of 0-based index pairs with i < j, in lexicographic
+    order; the CSR-style arrays ``nbr_flat`` (int32, 2m) and
+    ``nbr_offsets`` (int64, n + 1, since 2m can pass 2^31) give each
+    vertex's sorted neighbor IDs.  So n < 2^31.  ``edges`` holds every edge
+    a second time, but `components` and `rule2.verify_cds` read it as the
+    COO input of scipy's component labelling, which was both faster and
+    smaller than a CSR over both directions.
     """
 
     points: np.ndarray
@@ -108,8 +114,15 @@ def _sq_dist(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return dx
 
 
-# candidate pairs per filtering pass; bounds transient memory in dense habitats
-_JOIN_BLOCK = 4_000_000
+# candidate pairs per pass of the cell join, and edges per pass of the CSR
+# fill: every transient array of `build_udg` is a small multiple of this
+_JOIN_BLOCK = 1 << 17
+
+# vertex indices and IDs are stored as int32, so n must stay below this
+_MAX_N = 1 << 31
+
+# an edge code is (i << 32) | j; this mask takes j back out
+_LOW_WORD = (1 << 32) - 1
 
 
 def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None) -> UnitDiskGraph:
@@ -118,11 +131,20 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None)
     The points are sorted by unit-cell key, and each point is joined with
     the points after it in its own cell and with every point of its E, NE,
     N and NW cells, which covers each pair of neighbouring cells exactly
-    once.  The cell ranges come from ``searchsorted`` on the sorted keys,
-    so no Python loop runs over cells or points.  Candidates are filtered
-    on squared distance, no square root is taken, and ``edges`` comes out
-    in lexicographic (i, j) order.
+    once.  The join runs one cell offset at a time, in passes of about
+    ``_JOIN_BLOCK`` candidate pairs; the cell ranges come from
+    ``searchsorted`` on the sorted keys, so no Python loop runs over cells
+    or points.  Candidates are filtered on squared distance, no square
+    root is taken, and a pass keeps only the int64 codes (i << 32) | j of
+    its edges.  Sorting the codes gives ``edges`` in lexicographic (i, j)
+    order, and the CSR is filled from ``edges`` in passes too, so no
+    transient array grows with the candidate set or the edge count.
+
+    Raises `ValueError` for n >= 2^31, before any array is made: vertex
+    indices are int32.
     """
+    if len(points) >= _MAX_N:
+        raise ValueError(f"{len(points)} points: vertex indices are int32, so n must be below {_MAX_N}")
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError(f"points must be an (n, 2) array, got shape {points.shape}")
@@ -139,45 +161,77 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None)
     # cell, so the N, NE and NW offsets never wrap into the next column
     stride = ncell + 1
     key = cx * stride + cy
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key, kind="stable").astype(np.int32)
     skey = key[order]
     sx, sy = points[order].T.copy()
 
-    # partner slot ranges [lo, hi) in sorted order, one per point and
-    # joined cell: the rest of its own cell, then the E, NE, N, NW cells
-    pos = np.arange(n, dtype=np.int64)
-    lo = [pos + 1]
-    hi = [np.searchsorted(skey, skey, side="right")]
-    for offset in (stride, stride + 1, 1, 1 - stride):
-        lo.append(np.searchsorted(skey, skey + offset, side="left"))
-        hi.append(np.searchsorted(skey, skey + offset, side="right"))
-    lo = np.concatenate(lo)
-    count = np.concatenate(hi) - lo
-    owner = np.tile(pos, 5)
-
     codes = []
-    part_of = (np.cumsum(count) - count) // _JOIN_BLOCK
-    for part in np.split(np.arange(len(count)), np.flatnonzero(np.diff(part_of)) + 1):
-        c = count[part]
-        si = np.repeat(owner[part], c)
-        sj = np.repeat(lo[part] - (np.cumsum(c) - c), c) + np.arange(int(c.sum()))
-        dx = sx[si]
-        dx -= sx[sj]
-        dy = sy[si]
-        dy -= sy[sj]
-        keep = _sq_dist(dx, dy) <= 1.0
-        i, j = order[si[keep]], order[sj[keep]]
-        codes.append(np.minimum(i, j) * n + np.maximum(i, j))
-    codes = np.sort(np.concatenate(codes))
-    edges = np.column_stack([codes // n, codes % n])
+    # the rest of the point's own cell, then the E, NE, N, NW cells
+    for offset in (0, stride, stride + 1, 1, 1 - stride):
+        # partner slot range [lo, hi) in sorted order, one per point
+        if offset:
+            lo = np.searchsorted(skey, skey + offset, side="left")
+            hi = np.searchsorted(skey, skey + offset, side="right")
+        else:
+            lo = np.arange(1, n + 1)
+            hi = np.searchsorted(skey, skey, side="right")
+        count = hi - lo
+        part_of = (np.cumsum(count) - count) // _JOIN_BLOCK
+        cuts = [0, *(np.flatnonzero(np.diff(part_of)) + 1).tolist(), n]
+        for s, e in itertools.pairwise(cuts):
+            # one candidate per (point in s..e-1, partner slot sj)
+            c = count[s:e]
+            sj = np.repeat(lo[s:e] - (np.cumsum(c) - c), c)
+            sj += np.arange(len(sj))
+            dx = np.repeat(sx[s:e], c)
+            dx -= sx[sj]
+            dy = np.repeat(sy[s:e], c)
+            dy -= sy[sj]
+            keep = np.flatnonzero(_sq_dist(dx, dy) <= 1.0)
+            i, j = np.repeat(order[s:e], c)[keep], order[sj[keep]]
+            code = np.minimum(i, j).astype(np.int64)
+            code <<= 32
+            code |= np.maximum(i, j)
+            codes.append(code)
+    codes = np.concatenate(codes)
+    codes.sort()
+    m = len(codes)
+    edges = np.empty((m, 2), dtype=np.int32)
+    np.right_shift(codes, 32, out=edges[:, 0])
+    np.bitwise_and(codes, _LOW_WORD, out=edges[:, 1])
+    del codes
 
-    # CSR adjacency with per-vertex sorted 1-based neighbor IDs
-    deg = np.bincount(edges[:, 0], minlength=n) + np.bincount(edges[:, 1], minlength=n)
+    # CSR adjacency with per-vertex sorted 1-based neighbor IDs: row v holds
+    # its lower neighbours, then its higher ones
+    up = np.bincount(edges[:, 0], minlength=n)
+    low = np.bincount(edges[:, 1], minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=offsets[1:])
-    both = np.concatenate([codes, edges[:, 1] * n + edges[:, 0]])
-    both.sort()
-    nbr_flat = both % n + 1
+    np.cumsum(up + low, out=offsets[1:])
+    nbr_flat = np.empty(2 * m, dtype=np.int32)
+    # edge k = (i, j) fills slot up_slot[i] + k of row i: the edges of i are
+    # consecutive and in j order, and end where the row ends
+    up_slot = offsets[1:] - np.cumsum(up)
+    # next free lower-neighbour slot of each row; every later pass holds
+    # larger i, so each row's lower neighbours are appended in order
+    low_next = offsets[:-1].copy()
+    for s in range(0, m, _JOIN_BLOCK):
+        i, j = edges[s : s + _JOIN_BLOCK].T
+        nbr_flat[up_slot[i] + np.arange(s, s + len(i))] = j + 1
+        # the pass's edges in (j, i) order: i appended to row j
+        code = j.astype(np.int64)
+        code <<= 32
+        code |= i
+        code.sort()
+        j = code >> 32
+        first = np.flatnonzero(np.concatenate(([True], j[1:] != j[:-1])))
+        size = np.diff(first, append=len(j))
+        j = j[first]
+        slot = np.repeat(low_next[j] - first, size)
+        slot += np.arange(len(code))
+        code &= _LOW_WORD
+        code += 1
+        nbr_flat[slot] = code
+        low_next[j] += size
 
     return UnitDiskGraph(
         points=points,

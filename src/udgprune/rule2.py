@@ -234,32 +234,30 @@ def _masks_cover(xs, ys, rest, low, up) -> np.ndarray:
 
 
 def brute_force_prune(g: UnitDiskGraph) -> GatewaySet:
-    """Literal transcription of the rule as a triple loop over plain sets.
+    """Literal transcription of the rule over plain adjacency sets.
 
-    Oracle for `prune`; intended for graphs with n <= 200 or so.
+    Vertex i is excluded when some i1 > i in N[i] and some i2 in
+    N[i] ∩ N[i1] with i < i2 < i1 give N[i] ⊆ N[i1] ∪ N[i2], that is
+    N[i] − N[i1] ⊆ N[i2].  Such an i2 is adjacent to each member x of that
+    rest, so the i2 tried are N[i] ∩ N[i1] ∩ N[x] for one x of it.  Reads
+    only ``neighbors``, never coordinates.  Oracle for `prune`; it takes
+    about a second at n = 16000 with mean degree 30.
     """
-    closed: dict[int, set[int]] = {}
-
-    def nset(v: int) -> set[int]:
-        if v not in closed:
-            closed[v] = {v} | {int(w) for w in g.neighbors(v)}
-        return closed[v]
-
+    closed = [set()] + [{v, *g.neighbors(v).tolist()} for v in range(1, g.n + 1)]
     kept = []
     for i in range(1, g.n + 1):
-        neighborhood = nset(i)
+        ni = closed[i]
         excluded = False
-        for i1 in sorted(neighborhood):
-            if i1 <= i or excluded:
+        for i1 in ni:
+            if i1 <= i:
                 continue
-            for i2 in sorted(neighborhood):
-                if not (i < i2 < i1):
-                    continue
-                if i2 not in nset(i1):
-                    continue  # the pair must be adjacent
-                if neighborhood <= (nset(i1) | nset(i2)):
-                    excluded = True
-                    break
+            rest = ni - closed[i1]
+            pairs = ni & closed[i1]  # i2 adjacent to i1
+            if rest:
+                pairs &= closed[min(rest)]
+            if any(i < i2 < i1 and rest <= closed[i2] for i2 in pairs):
+                excluded = True
+                break
         if not excluded:
             kept.append(i)
     return GatewaySet(members=tuple(kept))

@@ -12,11 +12,17 @@ bench_collect = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_collect)
 
 
-def _write(results, seed, ms, counters, trace=0, failed=0):
+def _write(results, seed, ms, counters, trace=0, failed=0, sha=None):
     results.mkdir(exist_ok=True)
     record = {
-        "environment": {"python": "3", "seed": seed},
-        "summary": {"units": 5, "attempted": 5, "failed": failed, "raw": {"trial_ms_p50": 2 * ms}},
+        "environment": {"python": "3", "src_sha256": sha or results.name, "seed": seed},
+        "summary": {
+            "units": 5,
+            "attempted": 5,
+            "failed": failed,
+            "loop_wall_s": 3 * ms,
+            "raw": {"trial_ms_p50": 2 * ms},
+        },
         "metrics": {"trial_ms_p50": ms, "peak_rss_mb": 100.0},
         "counters": counters,
         "failures": [],
@@ -52,6 +58,8 @@ def test_pairs_by_seed_with_spreads_and_wins(sides):
     assert entry["metrics"]["peak_rss_mb"]["change_wins"] == 0
     assert entry["metrics"]["raw.trial_ms_p50"]["change_wins"] == 2
     assert entry["counters_identical"] and entry["counters"]["2"] == {"edges": 2}
+    assert entry["loop_wall_s"] == {"parent": 33.0, "change": 27.0}
+    assert entry["environment"]["change"]["src_sha256"] == "change"
 
 
 def test_counter_drift_is_reported(sides):
@@ -69,4 +77,22 @@ def test_cli_writes_the_file(sides, tmp_path):
     assert bench_collect.main([str(parent), str(change), "--tag", "t", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["tag"] == "t" and data["workloads"]["sweep-sqrt"]["trace0"]["pairs"] == 3
+    assert data["src_sha256"] == {"parent": "parent", "change": "change"}
     assert bench_collect.main([str(tmp_path / "nowhere"), str(change), "--tag", "t"]) == 1
+
+
+def test_same_build_on_both_sides_is_refused(sides, tmp_path, capsys):
+    parent, _ = sides
+    out = tmp_path / "BENCH_t.json"
+    assert bench_collect.main([str(parent), str(parent), "--tag", "t", "--out", str(out)]) == 1
+    assert "both sides ran the same build: src_sha256 parent" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_side_mixing_builds_is_refused(sides, tmp_path, capsys):
+    parent, change = sides
+    _write(change, 3, 9.0, {"edges": 3}, sha="other")
+    out = tmp_path / "BENCH_t.json"
+    assert bench_collect.main([str(parent), str(change), "--tag", "t", "--out", str(out)]) == 1
+    assert f"{change} mixes builds: src_sha256 change, other" in capsys.readouterr().err
+    assert not out.exists()

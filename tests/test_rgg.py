@@ -1,6 +1,7 @@
 """Random point sampling and unit-disk-graph construction."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,58 @@ class TestBuildUdg:
         expected = rgg.brute_force_edges(pts)
         assert np.array_equal(g.edges, expected)
         assert int(np.sum(np.sum((pts[expected[:, 0]] - pts[expected[:, 1]]) ** 2, axis=1) == 1.0)) > 50
+
+    def test_index_dtypes(self):
+        sq = SquareRegion(6.0)
+        g = rgg.build_udg(rgg.sample_points(300, sq, seed=12), sq)
+        assert g.edges.dtype == np.int32 and g.edges.shape == (len(g.edges), 2)
+        assert g.nbr_flat.dtype == np.int32 and len(g.nbr_flat) == 2 * len(g.edges)
+        assert g.nbr_offsets.dtype == np.int64 and len(g.nbr_offsets) == g.n + 1
+
+    @pytest.mark.parametrize(
+        "pts", [[[1.0, 1.0]], [[0.5, 0.5], [2.0, 0.5], [0.5, 2.0], [2.0, 2.0]]], ids=["n1", "far-apart"]
+    )
+    def test_graph_without_edges(self, pts):
+        g = rgg.build_udg(np.array(pts), SquareRegion(3.0))
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int32
+        assert len(g.nbr_flat) == 0 and (g.nbr_offsets == 0).all() and len(g.nbr_offsets) == g.n + 1
+        assert all(len(g.neighbors(v)) == 0 for v in range(1, g.n + 1))
+
+    def test_small_passes_build_the_same_graph(self, monkeypatch):
+        # passes of 7 candidates or edges: many passes per cell offset, and
+        # single points with more candidates than one pass holds
+        sq = SquareRegion(4.0)
+        pts = rgg.sample_points(400, sq, seed=13)
+        g = rgg.build_udg(pts, sq)
+        monkeypatch.setattr(rgg, "_JOIN_BLOCK", 7)
+        small = rgg.build_udg(pts, sq)
+        assert np.array_equal(small.edges, g.edges)
+        assert np.array_equal(small.edges, rgg.brute_force_edges(pts))
+        assert np.array_equal(small.nbr_flat, g.nbr_flat)
+        assert np.array_equal(small.nbr_offsets, g.nbr_offsets)
+
+    def test_n_at_the_index_limit_rejected(self, monkeypatch):
+        # the limit is 2^31; a lowered one shows the check without the memory
+        monkeypatch.setattr(rgg, "_MAX_N", 3)
+        sq = SquareRegion(3.0)
+        assert len(rgg.build_udg(np.array([[1.0, 1.0], [1.5, 1.0]]), sq).edges) == 1
+        with pytest.raises(ValueError, match="must be below 3"):
+            rgg.build_udg(np.array([[1.0, 1.0], [1.5, 1.0], [2.0, 1.0]]), sq)
+
+    def test_traced_peak_stays_small(self):
+        # the paper's regime at n = 16000 (mean degree ~30, m ~ 240k): the
+        # graph itself holds ~3.9 MB, and no transient grows with m
+        n = 16000
+        sq = SquareRegion(rgg.ell_sqrt(n))
+        pts = rgg.sample_points(n, sq, seed=14)
+        tracemalloc.start()
+        try:
+            g = rgg.build_udg(pts, sq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.edges) > 200_000
+        assert peak <= 15e6, peak
 
     def test_adjacency_symmetric_and_irreflexive(self):
         sq = SquareRegion(8.0)

@@ -109,6 +109,37 @@ class TestPrune:
             assert rule2.prune(g).members == kept
 
 
+def _triple_loop_prune(g):
+    """The rule as a triple loop over plain sets: every candidate pair
+    (i1, i2) of N[i] in turn, then the adjacency and the union.  Reference
+    for `rule2.brute_force_prune`, which draws i2 from fewer candidates."""
+    closed: dict[int, set[int]] = {}
+
+    def nset(v: int) -> set[int]:
+        if v not in closed:
+            closed[v] = {v} | {int(w) for w in g.neighbors(v)}
+        return closed[v]
+
+    kept = []
+    for i in range(1, g.n + 1):
+        neighborhood = nset(i)
+        excluded = False
+        for i1 in sorted(neighborhood):
+            if i1 <= i or excluded:
+                continue
+            for i2 in sorted(neighborhood):
+                if not (i < i2 < i1):
+                    continue
+                if i2 not in nset(i1):
+                    continue  # the pair must be adjacent
+                if neighborhood <= (nset(i1) | nset(i2)):
+                    excluded = True
+                    break
+        if not excluded:
+            kept.append(i)
+    return tuple(kept)
+
+
 def _word_boundary_graph(size):
     """Vertex 1 with |N[1]| = ``size``: a tight cluster (IDs 2..size-1) on
     one side and, as the highest ID, a far neighbour that no higher
@@ -134,6 +165,7 @@ class TestBruteForceOracle:
         members = rule2.prune(g).members
         assert members[0] == 1
         assert members == rule2.brute_force_prune(g).members
+        assert members == _triple_loop_prune(g)
 
     def test_matches_fast_path_on_dense_graphs(self):
         # closed neighbourhoods of up to 200 members: up to four mask words
@@ -142,6 +174,21 @@ class TestBruteForceOracle:
             g = rgg.build_udg(rgg.sample_points(n, sq, seed=seed + 900), sq)
             assert np.diff(g.nbr_offsets).max() + 1 > 128
             assert rule2.prune(g).members == rule2.brute_force_prune(g).members
+            assert rule2.prune(g).members == _triple_loop_prune(g)
+
+    def test_matches_the_triple_loop_on_random_graphs(self):
+        rng = np.random.default_rng(404)
+        excluded = kept_candidates = 0
+        for seed in range(400):
+            n, side = int(rng.integers(2, 201)), float(rng.uniform(1.2, 6.0))
+            sq = SquareRegion(side)
+            g = rgg.build_udg(rgg.sample_points(n, sq, seed=seed + 7000), sq)
+            kept = _triple_loop_prune(g)
+            assert rule2.brute_force_prune(g).members == kept, (seed, n, side)
+            excluded += g.n - len(kept)
+            kept_candidates += int((_up_counts(g)[np.array(kept) - 1] >= 2).sum())
+        # both decisions are made many times, on vertices that have a pair
+        assert excluded > 20_000 and kept_candidates > 5_000
 
     def test_matches_fast_path_on_random_graphs(self):
         for seed in range(150):

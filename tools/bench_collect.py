@@ -14,9 +14,11 @@ the output gives each side's values in seed order, their median and
 quartiles (inclusive method), the relative change of the medians and the
 pairs the change won (by the direction BENCHMARK.json gives; ties count
 for neither side).  The raw, uncorrected end-to-end timings appear as
-``raw.<metric>``.  It also gives attempted and failed units, whether the
-deterministic counters are identical seed by seed, and each side's
-environment.
+``raw.<metric>``.  It also gives attempted and failed units, the median
+``loop_wall_s`` (the run's wall time including the per-unit checks),
+whether the deterministic counters are identical seed by seed, and each
+side's environment.  Each side's build is its ``src_sha256``: the tool
+exits 1 if a side mixes two builds or if both sides ran the same one.
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ def _wins(parent: list, change: list, better: str | None):
         return None
     sign = 1 if better == "higher" else -1
     return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def builds(records: dict) -> set:
+    """The ``src_sha256`` of every record read by `read_records`."""
+    return {r["environment"].get("src_sha256") for runs in records.values() for r in runs.values()}
 
 
 def _environment(records: list) -> dict:
@@ -119,6 +126,10 @@ def compare(parent: dict, change: dict, better: dict) -> dict:
                 "parent": sum(r["summary"]["failed"] for r in p_runs),
                 "change": sum(r["summary"]["failed"] for r in c_runs),
             },
+            "loop_wall_s": {
+                "parent": statistics.median(r["summary"]["loop_wall_s"] for r in p_runs),
+                "change": statistics.median(r["summary"]["loop_wall_s"] for r in c_runs),
+            },
             "metrics": metrics,
             "counters_identical": identical,
             "counters": (
@@ -143,14 +154,28 @@ def main(argv=None) -> int:
             return 1
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    workloads = compare(read_records(args.parent), read_records(args.change), better)
+    parent, change = read_records(args.parent), read_records(args.change)
+    workloads = compare(parent, change, better)
     if not workloads:
         print("error: no (workload, seed, trace) appears on both sides", file=sys.stderr)
         return 1
+    shas = {}
+    for name, side, records in (("parent", args.parent, parent), ("change", args.change, change)):
+        found = builds(records)
+        if len(found) > 1:
+            print(f"error: {side} mixes builds: src_sha256 {', '.join(sorted(map(str, found)))}",
+                  file=sys.stderr)
+            return 1
+        shas[name] = found.pop()
+    if shas["parent"] == shas["change"]:
+        print(f"error: both sides ran the same build: src_sha256 {shas['parent']}", file=sys.stderr)
+        return 1
     out = args.out or Path(f"BENCH_{args.tag}.json")
-    out.write_text(json.dumps({"tag": args.tag, "workloads": workloads}, indent=1) + "\n")
+    out.write_text(json.dumps({"tag": args.tag, "src_sha256": shas, "workloads": workloads}, indent=1) + "\n")
     for workload, levels in workloads.items():
         for level, entry in levels.items():
+            wall = entry["loop_wall_s"]
+            print(f"{workload:18s} {level} {'loop_wall_s':36s} {wall['parent']:>12.4g} -> {wall['change']:>12.4g}")
             for name, m in entry["metrics"].items():
                 if m["change_wins"] is None or name.startswith("raw."):
                     continue
