@@ -245,8 +245,9 @@ def _cmd_sweep(args) -> int:
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {args.config} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     config = hz.SweepConfig.from_dict(data)
-    parallel = args.parallel if args.parallel is not None else (os.cpu_count() or 1)
-    rows = hz.sweep(config, parallel=parallel, emit_timings=args.emit_timings)
+    if args.parallel < 1:
+        raise ValueError(f"--parallel must be >= 1, got {args.parallel}")
+    rows = hz.sweep(config, parallel=args.parallel, emit_timings=args.emit_timings)
     _emit(hz.sweep_rows_to_csv(rows), args.out)
     sys.stdout.write(json.dumps({"aggregates": hz.aggregate_rows(rows)}, indent=2) + "\n")
     return 0
@@ -323,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a JSON-configured trial sweep, emit fixed-schema CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--parallel", type=int, default=None, help="worker processes (default: cpu count; 1 = in-process)")
+    p.add_argument("--parallel", type=int, default=os.cpu_count() or 1, help="worker processes (default: cpu count; 1 = in-process)")
     p.add_argument("--emit-timings", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 

@@ -36,7 +36,6 @@ __all__ = [
     "triple_disk_intersection_area",
     "omitted_area",
     "omitted_area_at_angle",
-    "omitted_area_on_circle",
     "on_circle_pair_lens",
     "truncated_disk_area",
     "truncated_omitted_area",
@@ -299,11 +298,6 @@ def omitted_area_at_angle(center, delta: float, phi2: float) -> float:
         center[1] + delta * math.sin(phi2),
     )
     return omitted_area(center, o1, o2)
-
-
-def omitted_area_on_circle(frame: SectorFrame, phi2: float) -> float:
-    """`omitted_area_at_angle` with the radius taken from a sector frame."""
-    return omitted_area_at_angle(frame.center, frame.delta, phi2)
 
 
 def on_circle_pair_lens(delta: float, phi2: float) -> float:

@@ -342,9 +342,19 @@ _ELL_RULE_KEYS = ("kind", "value")
 
 
 def _reject_unknown_keys(mapping, allowed: tuple[str, ...], where: str = "") -> None:
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where}expected an object, got {mapping!r}")
     unknown = [key for key in mapping if key not in allowed]
     if unknown:
         raise ValueError(f"unknown {where}key {unknown[0]!r}, expected {allowed}")
+
+
+def _json_int(entry: dict, key: str, low: int) -> int:
+    value = entry[key]
+    # bool is a subclass of int, and JSON true is no count
+    if type(value) is not int or value < low:
+        raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -355,32 +365,29 @@ class SweepConfig:
     def from_dict(cls, data: dict) -> "SweepConfig":
         """Parse ``{"schedules": [{"n", "ell_rule": {"kind", "value"},
         "trials", "seed"}, ...]}``; any other key of a schedule or of its
-        ``ell_rule`` is an error."""
-        if not isinstance(data, dict) or "schedules" not in data:
-            raise ValueError("sweep config must be an object with a 'schedules' list")
+        ``ell_rule`` is an error.  n, trials and seed must be JSON integers
+        (n >= 2, the others >= 0), ``value`` a JSON number, and the side it
+        gives positive and finite."""
+        if not isinstance(data, dict) or not isinstance(data.get("schedules"), list):
+            raise ValueError("sweep config must be an object with a 'schedules' list of objects")
         specs = []
         for pos, entry in enumerate(data["schedules"]):
             try:
                 _reject_unknown_keys(entry, _SCHEDULE_KEYS)
                 rule = entry["ell_rule"]
                 _reject_unknown_keys(rule, _ELL_RULE_KEYS, "ell_rule ")
+                if type(rule["value"]) not in (int, float):
+                    raise ValueError(f"ell_rule value must be a number, got {rule['value']!r}")
                 spec = ScheduleSpec(
-                    n=int(entry["n"]),
+                    n=_json_int(entry, "n", 2),  # ln 1 = 0 leaves the side undefined
                     ell_kind=str(rule["kind"]),
                     ell_value=float(rule["value"]),
-                    trials=int(entry["trials"]),
-                    seed=int(entry["seed"]),
+                    trials=_json_int(entry, "trials", 0),
+                    seed=_json_int(entry, "seed", 0),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+                SquareRegion(spec.side())  # rejects a side that is not positive and finite
+            except (KeyError, ValueError, ArithmeticError) as exc:
                 raise ValueError(f"sweep config schedules[{pos}]: {exc}") from exc
-            if spec.n < 1 or spec.trials < 0:
-                raise ValueError(
-                    f"sweep config schedules[{pos}]: need n >= 1 and trials >= 0"
-                )
-            if spec.ell_kind not in ("sqrt", "power"):
-                raise ValueError(
-                    f"sweep config schedules[{pos}]: unknown ell rule {spec.ell_kind!r}"
-                )
             specs.append(spec)
         return cls(schedules=tuple(specs))
 

@@ -260,10 +260,6 @@ def components(g: UnitDiskGraph) -> tuple[int, np.ndarray]:
 
 
 def _component_labels(n: int, edges: np.ndarray) -> tuple[int, np.ndarray]:
-    if n == 0:
-        return 0, np.empty(0, dtype=np.int64)
-    if len(edges) == 0:
-        return n, np.arange(n, dtype=np.int64)
     data = np.ones(len(edges), dtype=np.int8)
     mat = coo_matrix((data, (edges[:, 0], edges[:, 1])), shape=(n, n))
     count, labels = connected_components(mat, directed=False)

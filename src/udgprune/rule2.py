@@ -15,6 +15,10 @@ witness pair costs a few passes over a row where the masks cost one per
 higher neighbour, so only vertices with at least ``_WITNESS_MIN_UP``
 higher neighbours try it.  The retained vertices ("gateways") form a
 dominating set that preserves the host graph's component count.
+
+`is_excluded` and the oracle `brute_force_prune` share one literal search
+over closed-neighbourhood sets, and `verify_cds` counts induced components
+over all n vertices.
 """
 
 from __future__ import annotations
@@ -65,38 +69,35 @@ def is_excluded(g: UnitDiskGraph, i: int) -> Optional[ExclusionWitness]:
     """Return a witness if some higher-ID adjacent pair covers vertex ``i``,
     else None.
 
-    Candidate pairs are scanned in descending (i1, i2) order and the scan
-    stops at the first hit, so the reported pair is the lexicographically
-    largest witness; the excluded/kept decision does not depend on that
-    order.  Coverage tests run on a boolean matrix over the re-indexed
-    local neighborhood.  `prune` reaches the same decisions without this
-    function; it stays as the API that names a witness.
+    Runs `brute_force_prune`'s search on the members of N[i] alone, so the
+    pair is the lexicographically largest witness.  `prune` reaches the same
+    decisions without this function; it stays as the API that names a witness.
     """
     if not 1 <= i <= g.n:
         raise ValueError(f"vertex id {i} out of range 1..{g.n}")
-    nbr = g.neighbors(i)
-    if len(nbr) < 2:
-        return None  # a covering pair needs two distinct neighbors
-    blues = nbr[nbr > i]
-    if len(blues) < 2:
-        return None
+    closed = {v: {v, *g.neighbors(v).tolist()} for v in g.closed_neighborhood(i).tolist()}
+    pair = _witness(closed, i)
+    return None if pair is None else ExclusionWitness(excluded=int(i), pair=pair)
 
-    members = np.concatenate((np.array([i], dtype=nbr.dtype), nbr))
-    x, y = g.points[members - 1].T
-    cover = _sq_dist(x[:, None] - x[None, :], y[:, None] - y[None, :]) <= 1.0
 
-    # rows of the coverage matrix for the higher-ID neighbors
-    blue_pos = 1 + np.flatnonzero(nbr > i)      # offsets into members = [i] + nbr
-    rows = cover[blue_pos]                      # (nb, m)
-    adj = cover[np.ix_(blue_pos, blue_pos)]     # pairwise adjacency among blues
-    joint = (rows[:, None, :] | rows[None, :, :]).all(axis=2)
-    valid = adj & joint
+def _witness(closed, i: int) -> Optional[tuple[int, int]]:
+    """The lexicographically largest adjacent pair i1 > i2 > i of N[i] with
+    N[i] ⊆ N[i1] ∪ N[i2], or None; ``closed[v]`` is N[v] for each v of N[i].
 
-    nb = len(blues)  # blues is ascending; want max i1, then max i2
-    for a in range(nb - 1, 0, -1):
-        for b in range(a - 1, -1, -1):
-            if valid[a, b]:
-                return ExclusionWitness(excluded=int(i), pair=(int(blues[a]), int(blues[b])))
+    That is N[i] − N[i1] ⊆ N[i2], so i2 is adjacent to each member x of that
+    rest, and the i2 tried are N[i] ∩ N[i1] ∩ N[x] for one x of it.
+    """
+    ni = closed[i]
+    for i1 in sorted(ni, reverse=True):
+        if i1 <= i:
+            break
+        rest = ni - closed[i1]
+        pairs = ni & closed[i1]  # i2 adjacent to i1
+        if rest:
+            pairs &= closed[min(rest)]
+        for i2 in sorted(pairs, reverse=True):
+            if i < i2 < i1 and rest <= closed[i2]:
+                return i1, i2
     return None
 
 
@@ -234,33 +235,14 @@ def _masks_cover(xs, ys, rest, low, up) -> np.ndarray:
 
 
 def brute_force_prune(g: UnitDiskGraph) -> GatewaySet:
-    """Literal transcription of the rule over plain adjacency sets.
+    """Literal transcription of the rule over plain adjacency sets: the
+    vertices for which `_witness` finds no pair.
 
-    Vertex i is excluded when some i1 > i in N[i] and some i2 in
-    N[i] ∩ N[i1] with i < i2 < i1 give N[i] ⊆ N[i1] ∪ N[i2], that is
-    N[i] − N[i1] ⊆ N[i2].  Such an i2 is adjacent to each member x of that
-    rest, so the i2 tried are N[i] ∩ N[i1] ∩ N[x] for one x of it.  Reads
-    only ``neighbors``, never coordinates.  Oracle for `prune`; it takes
-    about a second at n = 16000 with mean degree 30.
+    Reads only ``neighbors``, never coordinates.  Oracle for `prune`; it
+    takes about a second at n = 16000 with mean degree 30.
     """
     closed = [set()] + [{v, *g.neighbors(v).tolist()} for v in range(1, g.n + 1)]
-    kept = []
-    for i in range(1, g.n + 1):
-        ni = closed[i]
-        excluded = False
-        for i1 in ni:
-            if i1 <= i:
-                continue
-            rest = ni - closed[i1]
-            pairs = ni & closed[i1]  # i2 adjacent to i1
-            if rest:
-                pairs &= closed[min(rest)]
-            if any(i < i2 < i1 and rest <= closed[i2] for i2 in pairs):
-                excluded = True
-                break
-        if not excluded:
-            kept.append(i)
-    return GatewaySet(members=tuple(kept))
+    return GatewaySet(members=tuple(i for i in range(1, g.n + 1) if _witness(closed, i) is None))
 
 
 @dataclass(frozen=True)
@@ -288,26 +270,16 @@ def verify_cds(g: UnitDiskGraph, c: GatewaySet) -> CdsReport:
     in_c = np.zeros(g.n, dtype=bool)
     in_c[member_arr - 1] = True
 
+    ei, ej = g.edges[:, 0], g.edges[:, 1]
     covered = in_c.copy()
-    if len(g.edges):
-        ei, ej = g.edges[:, 0], g.edges[:, 1]
-        covered[ei[in_c[ej]]] = True
-        covered[ej[in_c[ei]]] = True
+    covered[ei[in_c[ej]]] = True
+    covered[ej[in_c[ei]]] = True
     dominating = bool(covered.all())
 
     n_graph, _ = components(g)
-    if len(member_arr) == 0:
-        n_induced = 0
-    else:
-        remap = -np.ones(g.n, dtype=np.int64)
-        remap[member_arr - 1] = np.arange(len(member_arr))
-        if len(g.edges):
-            both = in_c[g.edges[:, 0]] & in_c[g.edges[:, 1]]
-            sub = g.edges[both]
-            sub = np.column_stack([remap[sub[:, 0]], remap[sub[:, 1]]])
-        else:
-            sub = np.empty((0, 2), dtype=np.int64)
-        n_induced, _ = _component_labels(len(member_arr), sub)
+    # over all n vertices, each vertex outside C is a component of its own
+    n_all, _ = _component_labels(g.n, g.edges[in_c[ei] & in_c[ej]])
+    n_induced = n_all - (g.n - len(member_arr))
 
     return CdsReport(
         dominating=dominating,

@@ -211,6 +211,29 @@ class TestSweep:
         cfg.write_text(json.dumps(data))
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert "schedules[0]: unknown ell_rule key 'vaule'" in capsys.readouterr().err
+        del data["schedules"][0]["ell_rule"]["vaule"]
+        for key, value, message in [
+            ("n", 1, "n must be an integer >= 2"),
+            ("n", 100.7, "n must be an integer >= 2"),
+            ("n", True, "n must be an integer >= 2"),
+            ("n", "100", "n must be an integer >= 2"),
+            ("trials", 1.9, "trials must be an integer >= 0"),
+            ("seed", 2.5, "seed must be an integer >= 0"),
+            ("value", "nan", "ell_rule value must be a number"),
+            ("value", float("nan"), "square side must be positive and finite"),
+            ("value", -1, "square side must be positive and finite"),
+        ]:
+            entry = json.loads(json.dumps(data["schedules"][0]))
+            (entry["ell_rule"] if key == "value" else entry)[key] = value
+            cfg.write_text(json.dumps({"schedules": [data["schedules"][0], entry]}))
+            assert main(["sweep", "--config", str(cfg)]) == 1
+            assert f"sweep config schedules[1]: {message}" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"schedules": 5}))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert "'schedules' list of objects" in capsys.readouterr().err
+        cfg.write_text(json.dumps(data))
+        assert main(["sweep", "--config", str(cfg), "--parallel", "0"]) == 1
+        assert "--parallel must be >= 1" in capsys.readouterr().err
 
     def test_rows_replay_with_run_rule2(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, trials=2)

@@ -203,7 +203,8 @@ class TestOmittedAreaAtAngle:
             (0.5 - d, 0.5),
             (0.5 + d * math.cos(phi2), 0.5 + d * math.sin(phi2)),
         )
-        assert geo.omitted_area_on_circle(frame, phi2) == pytest.approx(direct, abs=1e-15)
+        at_angle = geo.omitted_area_at_angle(frame.center, frame.delta, phi2)
+        assert at_angle == pytest.approx(direct, abs=1e-15)
 
     def test_mc_agreement_mid_angle(self):
         delta, phi2 = 0.1, math.pi / 2

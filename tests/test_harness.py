@@ -260,6 +260,29 @@ class TestSweep:
         rule = {"kind": "sqrt", "value": 1.0, "vaule": 3}
         with pytest.raises(ValueError, match=r"schedules\[0\]: unknown ell_rule key 'vaule'"):
             hz.SweepConfig.from_dict({"schedules": [dict(entry, ell_rule=rule)]})
+        with pytest.raises(ValueError, match="'schedules' list of objects"):
+            hz.SweepConfig.from_dict({"schedules": 5})
+        with pytest.raises(ValueError, match=r"schedules\[0\]: expected an object, got 5"):
+            hz.SweepConfig.from_dict({"schedules": [5]})
+        with pytest.raises(ValueError, match=r"schedules\[0\]: ell_rule expected an object"):
+            hz.SweepConfig.from_dict({"schedules": [dict(entry, ell_rule=[1.0])]})
+        for key, value in [("n", 1), ("n", 100.7), ("n", True), ("n", "100"),
+                           ("trials", 1.9), ("trials", -1), ("seed", 2.5), ("seed", -1)]:
+            with pytest.raises(ValueError, match=rf"schedules\[1\]: {key} must be an integer"):
+                hz.SweepConfig.from_dict({"schedules": [entry, dict(entry, **{key: value})]})
+        for kind, value, message in [
+            ("sqrt", "nan", "ell_rule value must be a number"),
+            ("sqrt", True, "ell_rule value must be a number"),
+            ("sqrt", None, "ell_rule value must be a number"),
+            ("sqrt", float("nan"), "square side must be positive and finite"),
+            ("sqrt", -1, "square side must be positive and finite"),
+            ("sqrt", 1e308, "square side must be positive and finite"),
+            ("power", -1e6, "square side must be positive and finite"),
+            ("power", 1e6, "out of range"),  # OverflowError from the power
+        ]:
+            rule = {"kind": kind, "value": value}
+            with pytest.raises(ValueError, match=rf"schedules\[0\]: .*{message}"):
+                hz.SweepConfig.from_dict({"schedules": [dict(entry, ell_rule=rule)]})
 
 
 class TestConditionalPruneRate:

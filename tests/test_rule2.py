@@ -68,6 +68,28 @@ class TestIsExcluded:
                 )
                 assert target <= union
 
+    def test_names_the_lexicographically_largest_pair(self):
+        # every valid pair of every vertex, against the one reported
+        rng = np.random.default_rng(808)
+        named = 0
+        for seed in range(60):
+            n, side = int(rng.integers(2, 61)), float(rng.uniform(1.2, 4.0))
+            sq = SquareRegion(side)
+            g = rgg.build_udg(rgg.sample_points(n, sq, seed=seed + 8000), sq)
+            closed = {v: set(g.closed_neighborhood(v).tolist()) for v in range(1, n + 1)}
+            for i in range(1, n + 1):
+                valid = [
+                    (i1, i2)
+                    for i1 in closed[i]
+                    for i2 in closed[i] & closed[i1]
+                    if i1 > i2 > i and closed[i] <= closed[i1] | closed[i2]
+                ]
+                w = rule2.is_excluded(g, i)
+                assert (None if w is None else w.pair) == max(valid, default=None), (seed, i)
+                named += len(valid) > 1
+        # most witnesses are one of several valid pairs
+        assert named > 1000
+
     def test_degree_le_one_never_excluded(self):
         # a covering pair needs two higher-ID neighbors
         sq = SquareRegion(8.0)
@@ -278,6 +300,17 @@ class TestVerifyCds:
         report = rule2.verify_cds(g, rule2.GatewaySet(members=(1, 2)))
         assert not report.dominating  # 3, 4 uncovered
         assert report.components_graph == 2 and report.components_induced == 1
+
+    def test_graph_without_edges(self):
+        n = 4
+        g = _graph([[0.5 + 2.5 * k, 0.5] for k in range(n)])
+        assert len(g.edges) == 0
+        report = rule2.verify_cds(g, rule2.GatewaySet(members=tuple(range(1, n + 1))))
+        assert report.dominating and report.component_preserving
+        assert report.components_graph == report.components_induced == n
+        report = rule2.verify_cds(g, rule2.GatewaySet(members=tuple(range(2, n + 1))))
+        assert not report.dominating and not report.component_preserving
+        assert report.components_graph == n and report.components_induced == n - 1
 
     def test_foreign_member_rejected(self, triangle):
         with pytest.raises(ValueError):
