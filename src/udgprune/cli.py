@@ -25,7 +25,7 @@ from . import harness as hz
 from . import local_coverage as lc
 from . import rgg
 from . import rule2
-from .util import atomic_write_text, derived_seed
+from .util import atomic_write_text, csv_text, derived_seed
 
 __all__ = ["main"]
 
@@ -67,9 +67,8 @@ def _geom_rows(seed: int, configs: int, samples: int) -> list[tuple[str, float, 
                 sq = geo.SquareRegion(side)
                 o = rng.uniform(0.0, side, 2)
                 exact = geo.truncated_disk_area(o, sq)
-                mo = geo.disk_membership(o)
-                member = mo
-                bounds = (max(0, o[0] - 1), min(side, o[0] + 1), max(0, o[1] - 1), min(side, o[1] + 1))
+                member = geo.disk_membership(o)
+                bounds = geo._disk_square_bounds(o, sq)
             else:  # omitted
                 o = rng.uniform(0.0, 1.0, 2)
                 q = o + rng.uniform(-1.0, 1.0, 2)
@@ -169,10 +168,7 @@ def _geom_rows(seed: int, configs: int, samples: int) -> list[tuple[str, float, 
 
 def _cmd_geom_check(args) -> int:
     rows = _geom_rows(args.seed, args.configs, args.samples)
-    lines = ["check,statistic,bound,pass"]
-    for name, stat, bound, ok in rows:
-        lines.append(f"{name},{stat!r},{bound!r},{'true' if ok else 'false'}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(csv_text(["check", "statistic", "bound", "pass"], rows), args.out)
     return 0 if all(ok for *_, ok in rows) else 2
 
 
@@ -212,11 +208,8 @@ def _cmd_local_coverage(args) -> int:
         xb = lc.x_b_indicator(sample, stats)
         found, _ = lc.blue_pair_dominates(sample)
         records.append((stats.tau, stats.core_blue, stats.first_match, xb, found))
-    lines = ["trial,tau,Z,Y,X_b,pair_found"] + [
-        f"{t},{tau},{z},{y},{xb},{'true' if found else 'false'}"
-        for t, (tau, z, y, xb, found) in enumerate(records)
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    columns = ["trial", "tau", "Z", "Y", "X_b", "pair_found"]
+    _emit(csv_text(columns, ((t, *rec) for t, rec in enumerate(records))), args.out)
     tau_sum, z_sum, _, xb_sum, hits = map(sum, zip(*records))
     pair = lc.CoverageEstimate.of(hits, args.trials)
     summary = {

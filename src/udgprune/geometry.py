@@ -93,7 +93,9 @@ class SectorFrame:
     Sector ``(Q, i)`` spans polar angles [(i - 1/2) theta, (i + 1/2) theta]
     about the center, and ``(R, i)`` is its reflection through the center.
     Logs are natural logs; ``log_exponent`` may be 1.5 (default) or 2.0 —
-    both appear in the literature and only the sector count differs.
+    both appear in the literature and only the sector count differs.  The
+    colored-sample experiment uses 1.5; 2.0 is the exponent under which
+    the matched-sector mean b^(1/3) / (4 ln^6 b) is exact.
     """
 
     center: Point2D
@@ -371,12 +373,12 @@ def truncated_disk_area(o, square: SquareRegion) -> float:
     return _disk_rect_area(o, 0.0, 0.0, square.side, square.side)
 
 
-def disk_membership(center, radius: float = 1.0) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Vectorized membership predicate for a closed disk."""
-    cx, cy, r2 = center[0], center[1], radius * radius
+def disk_membership(center) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Vectorized membership predicate for the closed unit disk."""
+    cx, cy = center[0], center[1]
 
     def inside(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return (xs - cx) ** 2 + (ys - cy) ** 2 <= r2
+        return (xs - cx) ** 2 + (ys - cy) ** 2 <= 1.0
 
     return inside
 
@@ -444,7 +446,8 @@ def truncated_omitted_area(
 
     The exact region has many arc/edge cases near the square boundary, so
     this is estimated by hit-or-miss sampling; the standard error is
-    surfaced so callers can demand more samples when they need precision.
+    surfaced so callers can demand more samples when they need precision,
+    and ``seed`` lets separate calls draw independent streams.
     Always at most ``omitted_area(o, q, u)`` up to sampling noise, since
     clipping only removes area.
     """

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import SquareRegion, truncated_disk_area
-from .rgg import build_udg, components, ell_power, ell_sqrt, sample_points
+from .rgg import _check_vertex_count, build_udg, components, ell_power, ell_sqrt, sample_points
 from .rule2 import prune, verify_cds
-from .util import derived_seed, wilson_interval
+from .util import csv_text, derived_seed, wilson_interval
 
 __all__ = [
     "Schedule",
@@ -117,7 +117,7 @@ class Schedule:
             )
 
 
-def default_alpha(n: int, ell: float, profile: str) -> float:
+def default_alpha(n: int, profile: str) -> float:
     """The window cut for a given habitat profile.
 
     ``"sqrt"`` (ell of order sqrt(n/ln n)) uses 32n / (ln ln n)^{3/2};
@@ -157,7 +157,9 @@ def alpha_conditions(n: int, ell: float, alpha: float) -> dict:
 
 
 def make_schedule(n: int, ell: float, alpha_profile: str = "sqrt") -> Schedule:
-    return Schedule(n=n, ell=ell, alpha=default_alpha(n, ell, alpha_profile))
+    """The schedule of one habitat: ``alpha_profile`` names it ("sqrt" or
+    "power"), because the paper's two habitats need different window cuts."""
+    return Schedule(n=n, ell=ell, alpha=default_alpha(n, alpha_profile))
 
 
 @dataclass(frozen=True)
@@ -242,10 +244,9 @@ def vertex_stats(g, i: int, schedule: Schedule) -> VertexStats:
 
     The highest label has higher_mean 0, so its strict concentration
     inequality is unsatisfiable and it is never ``concentrated`` (the
-    label window never reaches it anyway).
+    label window never reaches it anyway).  A vertex id outside 1..n
+    raises `ValueError` from ``g.neighbors``.
     """
-    if not 1 <= i <= g.n:
-        raise ValueError(f"vertex id {i} out of range 1..{g.n}")
     nbr = g.neighbors(i)
     area = truncated_disk_area(g.points[i - 1], g.square)
     ell2 = g.square.side**2
@@ -291,8 +292,9 @@ class TrialResult:
 
 def graph_trial(g, started: float | None = None) -> TrialResult:
     """Prune ``g`` and verify the CDS.  ``runtime_ms`` runs from the
-    ``time.perf_counter()`` value ``started`` (default: the call); a graph
-    without a seed reports seed 0."""
+    ``time.perf_counter()`` value ``started`` (default: the call), so that
+    `run_trial` can count sampling and building too; a graph without a
+    seed reports seed 0."""
     if started is None:
         started = time.perf_counter()
     cds = prune(g)
@@ -367,7 +369,8 @@ class SweepConfig:
         "trials", "seed"}, ...]}``; any other key of a schedule or of its
         ``ell_rule`` is an error.  n, trials and seed must be JSON integers
         (n >= 2, the others >= 0), ``value`` a JSON number, and the side it
-        gives positive and finite."""
+        gives positive and finite.  n must also be below 2^31, the int32
+        index limit of the graph, so no trial allocates beyond it."""
         if not isinstance(data, dict) or not isinstance(data.get("schedules"), list):
             raise ValueError("sweep config must be an object with a 'schedules' list of objects")
         specs = []
@@ -378,8 +381,10 @@ class SweepConfig:
                 _reject_unknown_keys(rule, _ELL_RULE_KEYS, "ell_rule ")
                 if type(rule["value"]) not in (int, float):
                     raise ValueError(f"ell_rule value must be a number, got {rule['value']!r}")
+                n = _json_int(entry, "n", 2)  # ln 1 = 0 leaves the side undefined
+                _check_vertex_count(n)
                 spec = ScheduleSpec(
-                    n=_json_int(entry, "n", 2),  # ln 1 = 0 leaves the side undefined
+                    n=n,
                     ell_kind=str(rule["kind"]),
                     ell_value=float(rule["value"]),
                     trials=_json_int(entry, "trials", 0),
@@ -431,19 +436,8 @@ def sweep(config: SweepConfig, parallel: int = 1, emit_timings: bool = False) ->
     return rows
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def sweep_rows_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return csv_text(CSV_COLUMNS, ([row[c] for c in CSV_COLUMNS] for row in rows))
 
 
 def aggregate_rows(rows: list[dict]) -> list[dict]:
@@ -526,10 +520,10 @@ class ConcentrationReport:
     ok: bool
 
 
-def concentration_check(g, schedule: Schedule, slack: float = 0.05) -> ConcentrationReport:
+def concentration_check(g, schedule: Schedule) -> ConcentrationReport:
     """Among interior window vertices whose Chebyshev-style floor
     1 - 16 ell^2/(n-i) - 16 ell^2/(i-1) is positive, compare the observed
-    ``concentrated`` frequency with the mean floor minus ``slack``.
+    ``concentrated`` frequency with the mean floor minus 0.05.
 
     The floor is negative everywhere at small n, in which case the check
     is vacuous and reported as such.
@@ -555,5 +549,5 @@ def concentration_check(g, schedule: Schedule, slack: float = 0.05) -> Concentra
         vacuous=False,
         empirical_rate=rate,
         mean_bound=mean_bound,
-        ok=rate >= mean_bound - slack,
+        ok=rate >= mean_bound - 0.05,
     )

@@ -11,17 +11,19 @@ A sample finds its core points when it is built (`ColoredSample.core`);
 `sector_stats` labels each once and keeps the first matched pair for
 `x_b_indicator`.  `colored_trials` is the one loop that draws the
 samples of a seeded experiment, trial t from ``derived_seed(seed, t)``.
+`sample_colored` alone picks the sector frame, the paper's with
+``log_exponent`` 1.5; every reader takes it from ``sample.frame``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .geometry import Point2D, SectorFrame, SquareRegion, sector_of, truncated_disk_area
+from .geometry import Point2D, SectorFrame, SquareRegion, _disk_square_bounds, sector_of, truncated_disk_area
 from .util import derived_seed, wilson_interval
 
 __all__ = [
@@ -80,8 +82,7 @@ class SectorStats:
     is their minimum (-1 when there are none).  ``first_pair`` holds the
     blue indices of the (Q, first_match) and (R, first_match) points
     (None when there is no match).  ``core_blue`` is the number of blue
-    points in the core disk and ``core_bound`` the threshold
-    2 * density * b^(1/3) / (ln b)^2 used by the tail check.
+    points in the core disk.
     """
 
     counts_q: np.ndarray
@@ -91,7 +92,6 @@ class SectorStats:
     first_match: int
     first_pair: Optional[tuple[int, int]]
     core_blue: int
-    core_bound: float
 
 
 def clipped_disk_density(center, square: SquareRegion) -> float:
@@ -117,8 +117,7 @@ def sample_truncated_disk(
     of a deterministic stream, so enlarging ``count`` with the same rng
     state extends the sample rather than reshuffling it.
     """
-    xlo, xhi = max(0.0, center[0] - 1.0), min(square.side, center[0] + 1.0)
-    ylo, yhi = max(0.0, center[1] - 1.0), min(square.side, center[1] + 1.0)
+    xlo, xhi, ylo, yhi = _disk_square_bounds(center, square)
     out = np.empty((count, 2), dtype=float)
     got = 0
     proposals = 0
@@ -135,31 +134,25 @@ def sample_truncated_disk(
             got += take
         if take < hits:
             # count only proposals up to and including the last accepted one
-            proposals += int(np.flatnonzero(keep)[take - 1]) + 1 if take else 0
+            proposals += int(np.flatnonzero(keep)[take - 1]) + 1
         else:
             proposals += batch
     return out, proposals
 
 
-def sample_colored(
-    center,
-    square: SquareRegion,
-    w: int,
-    b: int,
-    seed: int,
-    log_exponent: float = 1.5,
-) -> ColoredSample:
+def sample_colored(center, square: SquareRegion, w: int, b: int, seed: int) -> ColoredSample:
     """Draw the colored sample: first w points white, remaining b blue.
 
-    Requires the core disk of the derived frame to fit inside the square
-    and b >= 1; deterministic given the seed.
+    The frame is the paper's for b, or for 3 when b < 3.  Requires the
+    core disk of that frame to fit inside the square and b >= 1;
+    deterministic given the seed.
     """
     if w < 0 or b < 1:
         raise ValueError(f"need w >= 0 and b >= 1, got w={w}, b={b}")
     center = Point2D(float(center[0]), float(center[1]))
     # the sector geometry needs ln b > 0 and at least one sector, so tiny
     # samples borrow the smallest admissible frame
-    frame = SectorFrame(center=center, b=max(b, 3), log_exponent=log_exponent)
+    frame = SectorFrame(center=center, b=max(b, 3))
     if not _core_radius_inside(center, square, frame.delta):
         raise ValueError(
             f"core disk of radius {frame.delta:.3g} about {tuple(center)} "
@@ -195,9 +188,6 @@ def sector_stats(sample: ColoredSample) -> SectorStats:
         last[label] = j
     matched = tuple(int(i) for i in np.flatnonzero((counts_q == 1) & (counts_r == 1)))
     first_match = matched[0] if matched else -1
-    lam = clipped_disk_density(sample.center, sample.square)
-    b_eff = max(sample.b, 3)  # the threshold formula needs ln b > 0
-    bound = 2.0 * lam * b_eff ** (1.0 / 3.0) / math.log(b_eff) ** 2
     return SectorStats(
         counts_q=counts_q,
         counts_r=counts_r,
@@ -206,7 +196,6 @@ def sector_stats(sample: ColoredSample) -> SectorStats:
         first_match=first_match,
         first_pair=(int(last["Q", first_match]), int(last["R", first_match])) if matched else None,
         core_blue=core_blue,
-        core_bound=bound,
     )
 
 
@@ -238,15 +227,14 @@ def blue_pair_dominates(sample: ColoredSample) -> tuple[bool, Optional[tuple[int
     return False, None
 
 
-def x_b_indicator(sample: ColoredSample, stats: SectorStats | None = None) -> int:
+def x_b_indicator(sample: ColoredSample, stats: SectorStats) -> int:
     """1 iff the lowest matched sector index holds an adjacent blue pair
-    that covers the whole sample; 0 when no index is matched.
+    that covers the whole sample; 0 when no index is matched.  ``stats``
+    is ``sector_stats(sample)``.
 
     A stricter event than `blue_pair_dominates`: only the two blue points
     of the first matched sector pair are tried.
     """
-    if stats is None:
-        stats = sector_stats(sample)
     if stats.first_pair is None:
         return 0
     q, r = stats.first_pair
@@ -269,38 +257,22 @@ class CoverageEstimate:
 
 
 def colored_trials(
-    center, square: SquareRegion, w: int, b: int, trials: int, seed: int, log_exponent: float = 1.5
+    center, square: SquareRegion, w: int, b: int, trials: int, seed: int
 ) -> Iterator[ColoredSample]:
     """The samples of trials 0..trials-1; trial t is drawn from
     ``derived_seed(seed, t)``, so any one of them can be redrawn alone."""
     for t in range(trials):
-        yield sample_colored(
-            center, square, w, b, seed=derived_seed(seed, t), log_exponent=log_exponent
-        )
+        yield sample_colored(center, square, w, b, seed=derived_seed(seed, t))
 
 
 def local_coverage_probability(
-    center,
-    square: SquareRegion,
-    w: int,
-    b: int,
-    trials: int,
-    seed: int,
-    log_exponent: float = 1.5,
-    sample_fn: Callable[[int], ColoredSample] | None = None,
+    center, square: SquareRegion, w: int, b: int, trials: int, seed: int
 ) -> CoverageEstimate:
     """Fraction of independent samples where an adjacent core blue pair
-    dominates, with a Wilson 95% interval.
-
-    ``sample_fn`` (trial index -> sample) replaces the default seeded
-    sampler, which tests use to inject fixtures.
-    """
+    dominates, with a Wilson 95% interval."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if sample_fn is not None:
-        samples = map(sample_fn, range(trials))
-    else:
-        samples = colored_trials(center, square, w, b, trials, seed, log_exponent)
+    samples = colored_trials(center, square, w, b, trials, seed)
     hits = sum(blue_pair_dominates(sample)[0] for sample in samples)
     return CoverageEstimate.of(hits, trials)
 
@@ -319,32 +291,26 @@ class CoreTailReport:
     mean_ok: bool
 
 
-def z_tail_check(
-    center,
-    square: SquareRegion,
-    b: int,
-    trials: int,
-    seed: int,
-    log_exponent: float = 1.5,
-) -> CoreTailReport:
+def z_tail_check(center, square: SquareRegion, b: int, trials: int, seed: int) -> CoreTailReport:
     """Compare Pr(core blue count >= threshold) with exp(-b^(1/3)/(4 ln^2 b)).
 
-    The core count is Binomial(b, density * delta^2), so its mean is also
-    checked against b * density * delta^2 within three standard errors.
-    Needs b >= 2: the bound divides by ln b.
+    The threshold is 2 * density * B^(1/3) / (ln B)^2, where B is the size
+    parameter of the samples' frame.  The core count is
+    Binomial(b, density * delta^2), so its mean is also checked against
+    b * density * delta^2 within three standard errors.  Needs b >= 2:
+    the bound divides by ln b.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if b < 2:
         raise ValueError(f"b={b} too small: the Chernoff bound needs b >= 2 (it divides by ln b)")
-    stats = []
-    for sample in colored_trials(center, square, 0, b, trials, seed, log_exponent):
-        stats.append(sector_stats(sample))
-    counts = np.array([st.core_blue for st in stats], dtype=np.int64)
-    threshold = stats[0].core_bound  # the same for every trial
+    counts = np.empty(trials, dtype=np.int64)
+    for t, sample in enumerate(colored_trials(center, square, 0, b, trials, seed)):
+        counts[t] = sector_stats(sample).core_blue
     lam = clipped_disk_density(center, square)
-    delta = sample.frame.delta  # the frame every sample used; b < 3 borrows b = 3's
-    expected = b * lam * delta**2
+    frame = sample.frame  # the frame `sample_colored` chose, the same for every trial
+    threshold = 2.0 * lam * frame.b ** (1.0 / 3.0) / math.log(frame.b) ** 2
+    expected = b * lam * frame.delta**2
     tail = float(np.mean(counts >= threshold))
     bound = math.exp(-(b ** (1.0 / 3.0)) / (4.0 * math.log(b) ** 2))
     tail_se = math.sqrt(max(tail * (1.0 - tail), 1.0 / trials) / trials)
@@ -352,7 +318,7 @@ def z_tail_check(
     mean_se = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return CoreTailReport(
         trials=trials,
-        threshold=float(threshold),
+        threshold=threshold,
         empirical_tail=tail,
         chernoff_bound=bound,
         tail_ok=tail <= bound + 3.0 * tail_se,

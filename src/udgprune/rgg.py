@@ -52,10 +52,12 @@ def ell_power(n: int, t: float) -> float:
 def sample_points(n: int, square: SquareRegion, seed: int) -> np.ndarray:
     """Draw ``n`` i.i.d. uniform points in the square; row j is vertex j+1.
 
-    Deterministic given the seed.
+    Deterministic given the seed.  Raises `ValueError` for n >= 2^31
+    before drawing anything, as `build_udg` would reject the points.
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
+    _check_vertex_count(n)
     rng = np.random.default_rng(seed)
     return rng.random((n, 2)) * square.side
 
@@ -121,6 +123,13 @@ _JOIN_BLOCK = 1 << 17
 # vertex indices and IDs are stored as int32, so n must stay below this
 _MAX_N = 1 << 31
 
+
+def _check_vertex_count(n: int) -> None:
+    """Raise `ValueError` unless n < ``_MAX_N``, the int32 index limit."""
+    if n >= _MAX_N:
+        raise ValueError(f"{n} points: vertex indices are int32, so n must be below {_MAX_N}")
+
+
 # an edge code is (i << 32) | j; this mask takes j back out
 _LOW_WORD = (1 << 32) - 1
 
@@ -143,8 +152,7 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None)
     Raises `ValueError` for n >= 2^31, before any array is made: vertex
     indices are int32.
     """
-    if len(points) >= _MAX_N:
-        raise ValueError(f"{len(points)} points: vertex indices are int32, so n must be below {_MAX_N}")
+    _check_vertex_count(len(points))
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError(f"points must be an (n, 2) array, got shape {points.shape}")

@@ -72,9 +72,8 @@ def is_excluded(g: UnitDiskGraph, i: int) -> Optional[ExclusionWitness]:
     Runs `brute_force_prune`'s search on the members of N[i] alone, so the
     pair is the lexicographically largest witness.  `prune` reaches the same
     decisions without this function; it stays as the API that names a witness.
+    A vertex id outside 1..n raises `ValueError` from ``g.closed_neighborhood``.
     """
-    if not 1 <= i <= g.n:
-        raise ValueError(f"vertex id {i} out of range 1..{g.n}")
     closed = {v: {v, *g.neighbors(v).tolist()} for v in g.closed_neighborhood(i).tolist()}
     pair = _witness(closed, i)
     return None if pair is None else ExclusionWitness(excluded=int(i), pair=pair)

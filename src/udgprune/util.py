@@ -1,4 +1,4 @@
-"""Shared plumbing: seed derivation, confidence intervals, atomic writes."""
+"""Shared plumbing: seed derivation, confidence intervals, CSV text, atomic writes."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["derived_seed", "wilson_interval", "atomic_write_text"]
+__all__ = ["derived_seed", "wilson_interval", "csv_text", "atomic_write_text"]
 
 
 def derived_seed(base: int, *key: int) -> int:
@@ -21,16 +21,32 @@ def derived_seed(base: int, *key: int) -> int:
     return int(state[0])
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = successes / trials
+    z = 1.959963984540054  # the two-sided 95% normal quantile
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
     return max(0.0, center - half), min(1.0, center + half)
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def csv_text(columns, rows) -> str:
+    """CSV with a header line: bools as true/false, floats by ``repr`` (so
+    they read back to the same float), anything else by ``str``."""
+    lines = [",".join(columns)] + [",".join(map(_csv_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def atomic_write_text(path, text: str) -> None:

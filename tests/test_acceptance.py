@@ -381,7 +381,7 @@ def test_c10_event_frequencies():
 
     n2, side2 = 40_000, 12.0
     sq2 = SquareRegion(side2)
-    sch2 = hz.Schedule(n=n2, ell=side2, alpha=hz.default_alpha(n2, side2, "power"))
+    sch2 = hz.Schedule(n=n2, ell=side2, alpha=hz.default_alpha(n2, "power"))
     g2 = rgg.build_udg(rgg.sample_points(n2, sq2, seed=derived_seed(MASTER, 101)), sq2)
     rep_big = hz.concentration_check(g2, sch2)
     assert not rep_big.vacuous and rep_big.ok

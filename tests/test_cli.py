@@ -217,6 +217,7 @@ class TestSweep:
             ("n", 100.7, "n must be an integer >= 2"),
             ("n", True, "n must be an integer >= 2"),
             ("n", "100", "n must be an integer >= 2"),
+            ("n", 10**30, f"{10**30} points: vertex indices are int32, so n must be below {2**31}"),
             ("trials", 1.9, "trials must be an integer >= 0"),
             ("seed", 2.5, "seed must be an integer >= 0"),
             ("value", "nan", "ell_rule value must be a number"),

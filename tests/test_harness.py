@@ -23,26 +23,26 @@ class TestDefaultAlpha:
     def test_sqrt_profile_formula(self):
         n = 10**4
         expected = 32.0 * n / math.log(math.log(n)) ** 1.5
-        assert hz.default_alpha(n, rgg.ell_sqrt(n), "sqrt") == pytest.approx(expected)
+        assert hz.default_alpha(n, "sqrt") == pytest.approx(expected)
 
     def test_power_profile_formula(self):
         n = 10**4
-        assert hz.default_alpha(n, rgg.ell_power(n, 0.4), "power") == pytest.approx(
+        assert hz.default_alpha(n, "power") == pytest.approx(
             n / math.log(n)
         )
 
     def test_degenerate_n_rejected(self):
         with pytest.raises(ValueError):
-            hz.default_alpha(10, 2.0, "sqrt")
+            hz.default_alpha(10, "sqrt")
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):
-            hz.default_alpha(100, 5.0, "geometric")
+            hz.default_alpha(100, "geometric")
 
     def test_condition_report(self):
         n = 10**4
         ell = rgg.ell_sqrt(n)
-        alpha = hz.default_alpha(n, ell, "sqrt")
+        alpha = hz.default_alpha(n, "sqrt")
         report = hz.alpha_conditions(n, ell, alpha)
         # at desk scale the sqrt profile exceeds n; reported, not enforced
         assert report["alpha_lt_n"] is False
@@ -54,7 +54,7 @@ class TestDefaultAlpha:
     def test_power_profile_lower_bound_fails_at_desk_scale(self):
         n = 10**4
         ell = rgg.ell_power(n, 0.4)
-        alpha = hz.default_alpha(n, ell, "power")
+        alpha = hz.default_alpha(n, "power")
         report = hz.alpha_conditions(n, ell, alpha)
         assert report["alpha_lt_n"] is True
         assert report["lower_bound_holds"] is False
@@ -270,6 +270,11 @@ class TestSweep:
                            ("trials", 1.9), ("trials", -1), ("seed", 2.5), ("seed", -1)]:
             with pytest.raises(ValueError, match=rf"schedules\[1\]: {key} must be an integer"):
                 hz.SweepConfig.from_dict({"schedules": [entry, dict(entry, **{key: value})]})
+        # n is bounded by the int32 index limit when read, before any trial is sized
+        for n in (2**31, 10**30):
+            with pytest.raises(ValueError, match=r"schedules\[1\]: .*must be below 2147483648"):
+                hz.SweepConfig.from_dict({"schedules": [entry, dict(entry, n=n)]})
+        assert hz.SweepConfig.from_dict({"schedules": [dict(entry, n=2**31 - 1)]}).schedules[0].n == 2**31 - 1
         for kind, value, message in [
             ("sqrt", "nan", "ell_rule value must be a number"),
             ("sqrt", True, "ell_rule value must be a number"),
@@ -334,7 +339,7 @@ class TestConcentrationCheck:
         n = 40_000
         side = 12.0
         sq = SquareRegion(side)
-        sch = hz.Schedule(n=n, ell=side, alpha=hz.default_alpha(n, side, "power"))
+        sch = hz.Schedule(n=n, ell=side, alpha=hz.default_alpha(n, "power"))
         g = rgg.build_udg(rgg.sample_points(n, sq, seed=13), sq)
         rep = hz.concentration_check(g, sch)
         assert not rep.vacuous

@@ -152,6 +152,16 @@ class TestSectorStats:
             st = lc.sector_stats(s)
             assert st.tau <= min(s.frame.count, st.core_blue // 2)
 
+    def test_makes_no_area_call(self, monkeypatch):
+        # the counts need only the frame; no clipped-disk area per trial
+        s = lc.sample_colored((0.7, 0.65), SQUARE, w=0, b=50, seed=2)
+
+        def no_area(*args):
+            raise AssertionError("truncated_disk_area was called")
+
+        monkeypatch.setattr(lc, "truncated_disk_area", no_area)
+        assert lc.sector_stats(s).core_blue == len(s.core)
+
     def test_matched_sector_mean_follows_exact_law(self):
         # at b=10 the sectors are wide enough for the matched count to be
         # observable; the binomial law gives the exact mean
@@ -203,7 +213,7 @@ class TestBluePairDominates:
 class TestXbIndicator:
     def test_zero_when_no_match(self):
         s = _fixture_sample(blue=[[5.9, 5.0]])
-        assert lc.x_b_indicator(s) == 0
+        assert lc.x_b_indicator(s, lc.sector_stats(s)) == 0
 
     def test_one_on_dominating_fixture(self):
         frame = SectorFrame(Point2D(5.0, 5.0), 1000)
@@ -214,7 +224,7 @@ class TestXbIndicator:
             [5.9, 5.0],
         ]
         s = _fixture_sample(blue)
-        assert lc.x_b_indicator(s) == 1
+        assert lc.x_b_indicator(s, lc.sector_stats(s)) == 1
 
     def test_implies_pair_domination(self):
         hits = 0
@@ -233,13 +243,12 @@ class TestLocalCoverageProbability:
         est = lc.local_coverage_probability(CENTER, SQUARE, w=0, b=1, trials=10, seed=0)
         assert est.estimate == 0.0 and est.successes == 0
 
-    def test_injected_fixture_gives_one(self):
+    def test_injected_fixture_gives_one(self, monkeypatch):
         s0 = lc.sample_colored(CENTER, SQUARE, w=20, b=20, seed=4)
         blue = np.vstack([[[5.0, 5.0], [5.0, 5.0]], s0.blue])
         fx = _fixture_sample(blue, white=s0.white, b_param=len(blue))
-        est = lc.local_coverage_probability(
-            CENTER, SQUARE, w=0, b=2, trials=8, seed=0, sample_fn=lambda t: fx
-        )
+        monkeypatch.setattr(lc, "sample_colored", lambda *args, **kwargs: fx)
+        est = lc.local_coverage_probability(CENTER, SQUARE, w=0, b=2, trials=8, seed=0)
         assert est.estimate == 1.0
         assert est.wilson_high == 1.0
 
@@ -290,6 +299,15 @@ class TestCoreTail:
         delta = SectorFrame(Point2D(*CENTER), 3).delta
         assert rep.trials == 3
         assert rep.expected_core == pytest.approx(2 * delta**2, rel=1e-12)
+
+    def test_threshold_uses_the_sample_frame(self):
+        # 2 * density * B^(1/3) / ln^2 B, where b < 3 samples on the b = 3 frame
+        center = (0.7, 0.65)
+        lam = lc.clipped_disk_density(center, SQUARE)
+        for b in (2, 3, 10**4):
+            rep = lc.z_tail_check(center, SQUARE, b=b, trials=2, seed=1)
+            B = max(b, 3)
+            assert rep.threshold == 2.0 * lam * B ** (1.0 / 3.0) / math.log(B) ** 2
 
     def test_b_1_rejected_before_any_trial(self, monkeypatch):
         # the Chernoff bound divides by ln b, which is 0 at b = 1

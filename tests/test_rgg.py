@@ -28,6 +28,13 @@ class TestSamplePoints:
         with pytest.raises(ValueError):
             rgg.sample_points(0, SquareRegion(4.0), seed=0)
 
+    def test_index_limit_checked_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(rgg, "_MAX_N", 3)
+        sq = SquareRegion(3.0)
+        assert rgg.sample_points(2, sq, seed=0).shape == (2, 2)
+        with pytest.raises(ValueError, match="must be below 3"):
+            rgg.sample_points(3, sq, seed=0)
+
     def test_deterministic(self):
         sq = SquareRegion(9.0)
         a = rgg.sample_points(1000, sq, seed=123)
