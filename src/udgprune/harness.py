@@ -50,7 +50,8 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-CSV_SCHEMA_VERSION = 1
+# version 2 derives the seed column from (seed, n, trial)
+CSV_SCHEMA_VERSION = 2
 CSV_COLUMNS = [
     "schema_ver",
     "n",
@@ -403,9 +404,11 @@ def sweep(config: SweepConfig, parallel: int = 1, emit_timings: bool = False) ->
     Rows are ordered by (schedule position, trial index) regardless of
     ``parallel``, and ``millis`` is 0 unless ``emit_timings`` is set, so
     output bytes are identical across parallelism settings and reruns.
+    Trial t of a schedule runs with ``derived_seed(seed, n, t)``, so two
+    schedules that differ only in n draw independent points.
     """
     plan = [(spec, t) for spec in config.schedules for t in range(spec.trials)]
-    jobs = [(spec.n, spec.side(), derived_seed(spec.seed, t)) for spec, t in plan]
+    jobs = [(spec.n, spec.side(), derived_seed(spec.seed, spec.n, t)) for spec, t in plan]
     if parallel > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(run_trial, *zip(*jobs), chunksize=1))

@@ -4,17 +4,21 @@ A vertex i is excluded when its closed neighborhood contains two adjacent
 vertices i1 > i2 > i that jointly cover it.  Exclusion decisions are
 evaluated independently per vertex against the original graph (the rule
 is one-shot, never re-applied to the pruned graph), so `prune` decides
-all vertices together as array operations, one block of vertices at a
-time, in two phases.  First, each vertex with enough higher neighbours
-tries one witness pair, as in the paper's argument: its nearest higher
-neighbour a and the higher neighbour adjacent to a on the opposed side
-of i.  Then each remaining vertex gets, for each higher-ID neighbour a, a
-bit mask over N[i] of the members a does not cover, and it is excluded
-when two adjacent such neighbours have masks with no common bit.  The
-witness pair costs a few passes over a row where the masks cost one per
-higher neighbour, so only vertices with at least ``_WITNESS_MIN_UP``
-higher neighbours try it.  The retained vertices ("gateways") form a
-dominating set that preserves the host graph's component count.
+all vertices together as array operations.  It takes its candidates in
+degree order, so the vertices of one block have rows of nearly equal
+width, gathers each block's closed neighbourhoods with one padded index
+pass, and decides the block in two phases.  First, each vertex with
+enough higher neighbours tries witness pairs, as in the paper's argument:
+its nearest higher neighbour a and the higher neighbour adjacent to a on
+the opposed side of i, and, if those miss a member, a and the partner of
+a nearest the member farthest from a.  Then each remaining vertex gets,
+for each higher-ID neighbour a, a bit mask over N[i] of the members a
+does not cover, and it is excluded when two adjacent such neighbours have
+masks with no common bit.  A witness pair costs a few passes over a row
+where the masks cost one per higher neighbour, so only vertices with at
+least ``_WITNESS_MIN_UP`` higher neighbours try them.  The retained
+vertices ("gateways") form a dominating set that preserves the host
+graph's component count.
 
 `is_excluded` and the oracle `brute_force_prune` share one literal search
 over closed-neighbourhood sets, and `verify_cds` counts induced components
@@ -100,31 +104,42 @@ def _witness(closed, i: int) -> Optional[tuple[int, int]]:
     return None
 
 
-# (up-pair, neighbourhood slot) cells per block of `prune`; every transient
-# array of a block is a small multiple of this
+# (up-pair, neighbourhood slot) cells per block of `prune`; its blocks hold
+# candidates of nearly equal degree, so every transient array of a block,
+# padding included, is a small multiple of this
 _BLOCK_CELLS = 1 << 17
 
-# fewest higher neighbours for which `_covered` tries the witness pair first:
-# that try costs about 5 passes over a row of width deg+1, and the miss masks
-# it may save cost one such pass per higher neighbour, so below this the try
-# costs more than it saves.  Its temporaries hold one row per vertex, fewer
-# than the masks' one row per up-pair, so they stay within ``_BLOCK_CELLS``.
+# fewest higher neighbours for which `_covered` tries the witness pairs
+# first: the tries cost a few passes over a row of width deg+1, and the miss
+# masks they may save cost one such pass per higher neighbour, so below this
+# the tries cost more than they save.  Their temporaries hold one row per
+# vertex, fewer than the masks' one row per up-pair, so they stay within
+# ``_BLOCK_CELLS``.  Measured on sqrt-side graphs (seed 12345, medians of
+# alternating repeats) against 6: a cut-off of 4 took 3.7% longer at
+# n = 16000 and 2.1% longer at 256000, and 8 took 1.2% less and 6.9% more.
 _WITNESS_MIN_UP = 6
 
 
 def prune(g: UnitDiskGraph) -> GatewaySet:
     """All vertices not excluded by the rule, in ascending ID order.
 
-    Vertices are decided in blocks of about ``_BLOCK_CELLS`` (up-pair,
-    slot) cells, so memory stays bounded at any degree, and each block
-    runs two phases over the same padded rows of N[i] = [i] + nbr(i).
+    The candidates (vertices with at least two higher neighbours) are
+    taken in ascending degree order, by a stable sort, and cut into blocks
+    of about ``_BLOCK_CELLS`` (up-pair, slot) cells, so memory stays
+    bounded at any degree.  The rows of a block then have nearly equal
+    width, so little of a block is padding.  Each block gathers its rows
+    of N[i] = [i] + nbr(i) in one pass (`_closed_rows`) and runs two
+    phases over them.
 
-    1. Witness pair, for vertices with at least ``_WITNESS_MIN_UP`` higher
-       neighbours: a is the nearest higher neighbour of i, and b the
-       higher neighbour adjacent to a that lies nearest to 2 p_i - p_a, the
-       reflection of a through i, so a and b sit on opposed sides as in the
-       paper's argument.  i is excluded if D_a and D_b together cover
-       N[i].  This settles most excluded vertices at a few passes per row.
+    1. Witness pairs, for vertices with at least ``_WITNESS_MIN_UP``
+       higher neighbours: a is the nearest higher neighbour of i, and b
+       the higher neighbour adjacent to a that lies nearest to
+       2 p_i - p_a, the reflection of a through i, so a and b sit on
+       opposed sides as in the paper's argument.  i is excluded if D_a and
+       D_b together cover N[i].  Where they do not, a second try takes
+       the member x of N[i] farthest from a, and the partner b' of a
+       nearest to x, and excludes i if D_a and D_b' cover N[i].  These
+       settle most excluded vertices at a few passes per row.
     2. Miss masks, for the vertices phase 1 skipped or did not exclude:
        each up-pair (i, a), with a a neighbour of i and a > i, gets a mask
        over N[i] with a bit for each member that a does not cover, packed
@@ -133,31 +148,35 @@ def prune(g: UnitDiskGraph) -> GatewaySet:
        neighbours of i adjacent to a; i is excluded when some partner has
        ``miss_a & miss_b == 0``.
 
-    Phase 1 only picks which pair to test first and excludes only on an
-    exact coverage test of an adjacent higher pair, so the kept set is the
-    one phase 2 alone gives.
+    Phase 1 only picks which pairs to test first and excludes only on an
+    exact coverage test of an adjacent higher pair, and each vertex is
+    decided alone, so neither the order nor the blocks change the kept
+    set: it is the one phase 2 alone gives.
     """
     n = g.n
     deg = np.diff(g.nbr_offsets)
     low = np.bincount(g.edges[:, 1], minlength=n)  # neighbours below each vertex
     up = deg - low
     excluded = np.zeros(n, dtype=bool)
+    # slot n of each coordinate column is the NaN that pads the rows
+    px, py = (np.append(col, np.nan) for col in g.points.T)
 
     # a covering pair needs two higher-ID neighbours
     cand = np.flatnonzero(up >= 2)
+    cand = cand[np.argsort(deg[cand], kind="stable")]
     cost = up[cand] * (deg[cand] + 1)
     block = (np.cumsum(cost) - cost) // _BLOCK_CELLS
     for verts in np.split(cand, np.flatnonzero(np.diff(block)) + 1):
         if len(verts):
-            excluded[verts[_covered(g, verts, deg[verts], low[verts], up[verts])]] = True
+            xs, ys = _closed_rows(g, px, py, verts, deg[verts])
+            excluded[verts[_covered(xs, ys, low[verts], up[verts])]] = True
     return GatewaySet(members=tuple((np.flatnonzero(~excluded) + 1).tolist()))
 
 
-def _covered(g: UnitDiskGraph, verts, deg, low, up) -> np.ndarray:
-    """Mask over ``verts`` (0-based indices) of the vertices that some
+def _covered(xs, ys, low, up) -> np.ndarray:
+    """Mask over the rows of `_closed_rows` of the vertices that some
     adjacent pair of their higher neighbours covers."""
-    xs, ys = _closed_rows(g, verts, deg)
-    covered = np.zeros(len(verts), dtype=bool)
+    covered = np.zeros(len(xs), dtype=bool)
     first = np.flatnonzero(up >= _WITNESS_MIN_UP)
     covered[first] = _witness_covers(xs[first], ys[first], low[first])
     rest = np.flatnonzero(~covered)
@@ -165,26 +184,26 @@ def _covered(g: UnitDiskGraph, verts, deg, low, up) -> np.ndarray:
     return covered
 
 
-def _closed_rows(g: UnitDiskGraph, verts, deg) -> tuple[np.ndarray, np.ndarray]:
+def _closed_rows(g: UnitDiskGraph, px, py, verts, deg) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates of N[i], one row per vertex of ``verts``: column 0 is i
     and columns 1..deg are nbr(i) ascending, so the higher neighbours sit
-    in columns low+1..deg.  Rows are padded with NaN to the widest, and
+    in columns low+1..deg.  ``px`` and ``py`` are the point coordinates
+    with a NaN appended, and rows are padded with that NaN to the widest.
     NaN compares false both ways, so a padded slot is neither covered nor
     missed by anything."""
-    rows, width = len(verts), int(deg.max()) + 1
-    xs = np.full((rows, width), np.nan)
-    ys = np.full((rows, width), np.nan)
-    r = np.repeat(np.arange(rows), deg)
-    j = np.arange(len(r)) - np.repeat(np.cumsum(deg) - deg, deg)
-    nbr = g.nbr_flat[g.nbr_offsets[verts][r] + j] - 1
-    xs[:, 0], ys[:, 0] = g.points[verts].T
-    xs[r, j + 1], ys[r, j + 1] = g.points[nbr].T
-    return xs, ys
+    slot = np.arange(int(deg.max()) + 1)
+    # column k of row i reads nbr_flat[offset + k - 1]; column 0 and the
+    # padding are overwritten, so a clipped read there is harmless
+    ids = np.take(g.nbr_flat, g.nbr_offsets[verts][:, None] + (slot - 1), mode="clip")
+    ids -= 1
+    ids[:, 0] = verts
+    ids[slot > deg[:, None]] = g.n
+    return px[ids], py[ids]
 
 
 def _witness_covers(xs, ys, low) -> np.ndarray:
     """Phase 1 of `prune` on rows from `_closed_rows`: mask of the rows
-    whose witness pair (a, b) covers N[i]."""
+    whose first witness pair (a, b) or second pair (a, b') covers N[i]."""
     rows = np.arange(len(xs))
     # every real member of N[i] is within 1 of i, and padding is NaN
     higher = np.arange(xs.shape[1]) > low[:, None]
@@ -192,13 +211,30 @@ def _witness_covers(xs, ys, low) -> np.ndarray:
     higher &= di <= 1.0
     a = np.where(higher, di, np.inf).argmin(axis=1)
     da = _sq_dist(xs - xs[rows, a][:, None], ys - ys[rows, a][:, None])
-
-    # |p - (2 p_i - p_a)|^2 = 2 |p - p_i|^2 - |p - p_a|^2 + const per row
     partner = higher & (da <= 1.0)
     partner[rows, a] = False
-    b = np.where(partner, 2.0 * di - da, np.inf).argmin(axis=1)
-    db = _sq_dist(xs - xs[rows, b][:, None], ys - ys[rows, b][:, None])
-    missed = (da > 1.0) & (db > 1.0)
+
+    # |p - (2 p_i - p_a)|^2 = 2 |p - p_i|^2 - |p - p_a|^2 + const per row
+    di *= 2.0
+    di -= da
+    covered = _pair_covers(xs, ys, da, partner, di)
+    left = np.flatnonzero(~covered)
+    xs, ys = xs[left], ys[left]
+    da = np.fmax(da[left], -1.0)  # padding at -1, below every real member
+    rows = np.arange(len(left))
+    far = da.argmax(axis=1)
+    dfar = _sq_dist(xs - xs[rows, far][:, None], ys - ys[rows, far][:, None])
+    covered[left] = _pair_covers(xs, ys, da, partner[left], dfar)
+    return covered
+
+
+def _pair_covers(xs, ys, da, partner, score) -> np.ndarray:
+    """Mask of the rows where a and the partner b with the least ``score``
+    cover N[i]; ``da`` holds the squared distances from a."""
+    rows = np.arange(len(xs))
+    b = np.where(partner, score, np.inf).argmin(axis=1)
+    missed = _sq_dist(xs - xs[rows, b][:, None], ys - ys[rows, b][:, None]) > 1.0
+    missed &= da > 1.0
     return partner[rows, b] & ~missed.any(axis=1)
 
 

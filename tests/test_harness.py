@@ -218,6 +218,14 @@ class TestSweep:
         b = hz.sweep_rows_to_csv(hz.sweep(self._config(trials=4), parallel=3))
         assert a == b
 
+    def test_sizes_with_one_seed_draw_independently(self):
+        # trial 0 at n = 2000 must not reuse the first rows of trial 0's
+        # unit draws at n = 8000
+        schedule = {"ell_rule": {"kind": "sqrt", "value": 1.0}, "trials": 1, "seed": 7}
+        config = hz.SweepConfig.from_dict({"schedules": [{**schedule, "n": n} for n in (2000, 8000)]})
+        small, large = (np.random.default_rng(r["seed"]).random((r["n"], 2)) for r in hz.sweep(config))
+        assert not np.array_equal(small, large[:2000])
+
     def test_aggregates(self):
         rows = hz.sweep(self._config())
         aggs = hz.aggregate_rows(rows)

@@ -1,5 +1,7 @@
 """The pruning rule, its brute-force oracle, and CDS verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,58 @@ def _up_counts(g):
     return np.diff(g.nbr_offsets) - np.bincount(g.edges[:, 1], minlength=g.n)
 
 
+def _padded_columns(g):
+    """The point coordinates with the NaN that `rule2._closed_rows` pads with."""
+    return tuple(np.append(col, np.nan) for col in g.points.T)
+
+
+def _mixed_degree_graph():
+    """A dense cluster inside a sparse field: degrees from a few to ~60, so
+    one degree-ordered block can hold rows of very different widths."""
+    rng = np.random.default_rng(5)
+    pts = np.vstack([rng.random((200, 2)) * 10.0, rng.normal(5.0, 0.4, (60, 2))])
+    return _graph(rng.permutation(pts))
+
+
+class TestDegreeOrderedBlocks:
+    @pytest.mark.parametrize("cells", [7, 64])
+    def test_small_blocks_match_the_oracle(self, monkeypatch, cells):
+        g = _mixed_degree_graph()
+        deg = np.diff(g.nbr_offsets)
+        assert deg[deg > 0].min() <= 2 and deg.max() >= 50
+        monkeypatch.setattr(rule2, "_BLOCK_CELLS", cells)
+        assert rule2.prune(g).members == rule2.brute_force_prune(g).members
+
+    def test_rows_are_i_then_neighbours_then_nan(self):
+        g = _mixed_degree_graph()
+        deg = np.diff(g.nbr_offsets)
+        # IDs out of order, with isolated and high-degree vertices
+        verts = np.random.default_rng(1).permutation(g.n)[:40]
+        assert deg[verts].min() == 0 and deg[verts].max() >= 50
+        xs, ys = rule2._closed_rows(g, *_padded_columns(g), verts, deg[verts])
+        assert xs.shape == ys.shape == (40, deg[verts].max() + 1)
+        for row, i in enumerate(verts):
+            members = np.append(i, g.neighbors(i + 1) - 1)
+            want = np.full((2, xs.shape[1]), np.nan)
+            want[:, : len(members)] = g.points[members].T
+            np.testing.assert_array_equal(xs[row], want[0])
+            np.testing.assert_array_equal(ys[row], want[1])
+
+    def test_traced_peak_stays_small(self):
+        # the paper's regime at n = 16000 (mean degree ~30): the blocks'
+        # transients and the two padded coordinate columns
+        n = 16000
+        sq = SquareRegion(rgg.ell_sqrt(n))
+        g = rgg.build_udg(rgg.sample_points(n, sq, seed=1), sq)
+        tracemalloc.start()
+        try:
+            rule2.prune(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6, peak
+
+
 class TestWitnessPhase:
     def test_masks_decide_what_the_witness_pair_misses(self):
         n = 500
@@ -248,7 +302,7 @@ class TestWitnessPhase:
         g = rgg.build_udg(rgg.sample_points(n, sq, seed=8), sq)
         deg, up = np.diff(g.nbr_offsets), _up_counts(g)
         verts = np.flatnonzero(up >= rule2._WITNESS_MIN_UP)
-        xs, ys = rule2._closed_rows(g, verts, deg[verts])
+        xs, ys = rule2._closed_rows(g, *_padded_columns(g), verts, deg[verts])
         by_pair = set((verts[rule2._witness_covers(xs, ys, deg[verts] - up[verts])] + 1).tolist())
 
         members = rule2.prune(g).members
@@ -258,6 +312,35 @@ class TestWitnessPhase:
         # vertices the witness pair was tried on and missed, which only the
         # miss masks exclude
         assert (excluded & set((verts + 1).tolist())) - by_pair
+
+    def test_second_pair_excludes_what_the_first_misses(self, monkeypatch):
+        n = 500
+        sq = SquareRegion(rgg.ell_sqrt(n))
+        g = rgg.build_udg(rgg.sample_points(n, sq, seed=8), sq)
+        deg, up = np.diff(g.nbr_offsets), _up_counts(g)
+        verts = np.flatnonzero(up >= rule2._WITNESS_MIN_UP)
+        xs, ys = rule2._closed_rows(g, *_padded_columns(g), verts, deg[verts])
+        # the first call tests (a, b) on every row, the second (a, b') on
+        # the rows the first missed
+        tries = []
+        pair_covers = rule2._pair_covers
+
+        def recorded(*args):
+            covered = pair_covers(*args)
+            tries.append(covered.copy())
+            return covered
+
+        monkeypatch.setattr(rule2, "_pair_covers", recorded)
+        by_either = rule2._witness_covers(xs, ys, deg[verts] - up[verts])
+        first, second = tries
+        by_second = verts[np.flatnonzero(~first)[second]] + 1
+        assert (by_either == first | np.isin(verts + 1, by_second)).all()
+
+        members = rule2.brute_force_prune(g).members
+        excluded = set(range(1, n + 1)) - set(members)
+        assert len(by_second) and set(by_second.tolist()) <= excluded
+        # and the miss masks still decide some vertex both pairs missed
+        assert excluded & set((verts[~by_either] + 1).tolist())
 
     def test_witness_pair_must_cover_exactly(self):
         # vertex 2 has six higher neighbours on a line through it; its
