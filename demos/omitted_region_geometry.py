@@ -30,10 +30,7 @@ print("2. Exact three-disk intersection, cross-checked by Monte Carlo")
 print("=" * 70)
 o, q, u = (0.0, 0.0), (0.9, 0.0), (0.0, 0.9)
 exact = geo.triple_disk_intersection_area(o, q, u)
-mo, mq, mu = map(geo.disk_membership, (o, q, u))
-est = geo.mc_area_oracle(
-    lambda xs, ys: mo(xs, ys) & mq(xs, ys) & mu(xs, ys), (-1, 1, -1, 1), 10**6, seed=1
-)
+est = geo.mc_area_oracle(geo.region_membership((o, q, u), ()), (-1, 1, -1, 1), 10**6, seed=1)
 print(f"   centers {o}, {q}, {u}")
 print(f"   exact        = {exact:.6f}")
 print(f"   Monte Carlo  = {est.value:.6f} +- {est.std_error:.6f}   "

@@ -39,60 +39,51 @@ def _emit(text: str, out: str | None) -> None:
 
 # ---------------------------------------------------------------- geom-check
 
+# Monte Carlo oracle checks in row order; the k-th (from 1) seeds its oracle with tag k
+_ORACLE_KINDS = ("lens", "triple", "truncated", "omitted")
+
+
+def _oracle_case(kind: str, rng: np.random.Generator):
+    """One random configuration of oracle check ``kind``: (exact area,
+    inside centres, outside centres, sampling box)."""
+    if kind == "lens":
+        d = float(rng.uniform(0.0, 2.2))
+        return geo.lens_area(d), ((0.0, 0.0), (d, 0.0)), (), (-1.0, 1.0 + d, -1.0, 1.0)
+    if kind == "truncated":
+        sq = geo.SquareRegion(float(rng.uniform(2.0, 6.0)))
+        o = rng.uniform(0.0, sq.side, 2)
+        return geo.truncated_disk_area(o, sq), (o,), (), geo._disk_square_bounds(o, sq)
+    reach = 1.2 if kind == "triple" else 1.0
+    o = rng.uniform(0.0, 1.0, 2)
+    q = o + rng.uniform(-reach, reach, 2)
+    u = o + rng.uniform(-reach, reach, 2)
+    box = (o[0] - 1, o[0] + 1, o[1] - 1, o[1] + 1)
+    if kind == "triple":
+        return geo.triple_disk_intersection_area(o, q, u), (o, q, u), (), box
+    return geo.omitted_area(o, q, u), (o,), (q, u), box
+
+
 def _geom_rows(seed: int, configs: int, samples: int) -> list[tuple[str, float, float, bool]]:
     rng = np.random.default_rng(seed)
-    rows: list[tuple[str, float, float, bool]] = []
-    kind_tag = {"lens": 1, "triple": 2, "truncated": 3, "omitted": 4}
-
-    def mc_z(kind: str) -> float:
+    rows: list[tuple[str, float, float]] = []
+    for tag, kind in enumerate(_ORACLE_KINDS, start=1):
         worst = 0.0
         for k in range(configs):
-            if kind == "lens":
-                d = float(rng.uniform(0.0, 2.2))
-                exact = geo.lens_area(d)
-                o, q = (0.0, 0.0), (d, 0.0)
-                mo, mq = geo.disk_membership(o), geo.disk_membership(q)
-                member = lambda xs, ys: mo(xs, ys) & mq(xs, ys)
-                bounds = (-1.0, 1.0 + d, -1.0, 1.0)
-            elif kind == "triple":
-                o = rng.uniform(0.0, 1.0, 2)
-                q = o + rng.uniform(-1.2, 1.2, 2)
-                u = o + rng.uniform(-1.2, 1.2, 2)
-                exact = geo.triple_disk_intersection_area(o, q, u)
-                mo, mq, mu = map(geo.disk_membership, (o, q, u))
-                member = lambda xs, ys: mo(xs, ys) & mq(xs, ys) & mu(xs, ys)
-                bounds = (o[0] - 1, o[0] + 1, o[1] - 1, o[1] + 1)
-            elif kind == "truncated":
-                side = float(rng.uniform(2.0, 6.0))
-                sq = geo.SquareRegion(side)
-                o = rng.uniform(0.0, side, 2)
-                exact = geo.truncated_disk_area(o, sq)
-                member = geo.disk_membership(o)
-                bounds = geo._disk_square_bounds(o, sq)
-            else:  # omitted
-                o = rng.uniform(0.0, 1.0, 2)
-                q = o + rng.uniform(-1.0, 1.0, 2)
-                u = o + rng.uniform(-1.0, 1.0, 2)
-                exact = geo.omitted_area(o, q, u)
-                mo, mq, mu = map(geo.disk_membership, (o, q, u))
-                member = lambda xs, ys: mo(xs, ys) & ~mq(xs, ys) & ~mu(xs, ys)
-                bounds = (o[0] - 1, o[0] + 1, o[1] - 1, o[1] + 1)
-            est = geo.mc_area_oracle(member, bounds, samples, seed=derived_seed(seed, kind_tag[kind], k))
+            exact, inside, outside, box = _oracle_case(kind, rng)
+            member = geo.region_membership(inside, outside)
+            est = geo.mc_area_oracle(member, box, samples, seed=derived_seed(seed, tag, k))
             if est.std_error > 0:
                 worst = max(worst, abs(exact - est.value) / est.std_error)
-        return worst
-
-    for kind in ("lens", "triple", "truncated", "omitted"):
-        rows.append((f"{kind}_vs_oracle_max_z", mc_z(kind), 3.0, True))
+        rows.append((f"{kind}_vs_oracle_max_z", worst, 3.0))
 
     # closed-form identities for the two-points-on-a-circle lens term
     diff0 = max(
         abs(geo.on_circle_pair_lens(d, 0.0) - geo.lens_area(2.0 * d))
         for d in rng.uniform(0.01, 0.9, 20)
     )
-    rows.append(("pair_lens_form_phi0_maxdiff", diff0, 1e-12, True))
+    rows.append(("pair_lens_form_phi0_maxdiff", diff0, 1e-12))
     diffpi = max(abs(geo.on_circle_pair_lens(d, math.pi) - math.pi) for d in rng.uniform(0.01, 0.9, 20))
-    rows.append(("pair_lens_form_phipi_maxdiff", diffpi, 1e-12, True))
+    rows.append(("pair_lens_form_phipi_maxdiff", diffpi, 1e-12))
 
     # radial monotonicity
     worst = 0.0
@@ -104,7 +95,7 @@ def _geom_rows(seed: int, configs: int, samples: int) -> list[tuple[str, float, 
         u2 = o + rad[1] * np.array([math.cos(ang[1]), math.sin(ang[1])])
         t = rng.uniform(0, 1, 2)
         worst = max(worst, geo.omitted_area(o, o + t[0] * (q2 - o), o + t[1] * (u2 - o)) - geo.omitted_area(o, q2, u2))
-    rows.append(("radial_monotonicity_max_violation", worst, 1e-9, True))
+    rows.append(("radial_monotonicity_max_violation", worst, 1e-9))
 
     # angular monotonicity
     worst = 0.0
@@ -112,7 +103,7 @@ def _geom_rows(seed: int, configs: int, samples: int) -> list[tuple[str, float, 
         delta = float(rng.uniform(1e-3, 0.2))
         vals = [geo.omitted_area_at_angle((0.0, 0.0), delta, p) for p in np.sort(rng.uniform(0, math.pi, 16))]
         worst = max(worst, max(0.0, -min(np.diff(vals))))
-    rows.append(("angular_monotonicity_max_violation", worst, 1e-9, True))
+    rows.append(("angular_monotonicity_max_violation", worst, 1e-9))
 
     # extreme-pair dominance within a sector pair
     worst = 0.0
@@ -126,7 +117,7 @@ def _geom_rows(seed: int, configs: int, samples: int) -> list[tuple[str, float, 
         q = (r1 * math.cos(a1), r1 * math.sin(a1))
         u = (r2 * math.cos(a2), r2 * math.sin(a2))
         worst = max(worst, geo.omitted_area((0, 0), q, u) - geo.omitted_area((0, 0), *ext))
-    rows.append(("extreme_pair_max_violation", worst, 1e-9, True))
+    rows.append(("extreme_pair_max_violation", worst, 1e-9))
 
     # scaling of the extreme omitted area with the size parameter
     vals = []
@@ -134,7 +125,7 @@ def _geom_rows(seed: int, configs: int, samples: int) -> list[tuple[str, float, 
         frame = geo.SectorFrame(geo.Point2D(0.0, 0.0), b)
         ext = geo.extreme_points(frame, 0)
         vals.append(geo.omitted_area(frame.center, *ext) * b * math.log(b) ** 3)
-    rows.append(("extreme_area_scaling_ratio", max(vals) / min(vals), 10.0, True))
+    rows.append(("extreme_area_scaling_ratio", max(vals) / min(vals), 10.0))
 
     # chord geometry of circle-circle intersections
     worst = 0.0
@@ -148,7 +139,7 @@ def _geom_rows(seed: int, configs: int, samples: int) -> list[tuple[str, float, 
         mid_pq = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
         worst = max(worst, geo.dist(mid_ab, mid_pq))
         worst = max(worst, abs((a[0] - b2[0]) * (p[0] - q[0]) + (a[1] - b2[1]) * (p[1] - q[1])))
-    rows.append(("chord_midpoint_maxdiff", worst, 1e-12, True))
+    rows.append(("chord_midpoint_maxdiff", worst, 1e-12))
 
     # clipping can only shrink the omitted region
     violations = 0
@@ -161,12 +152,14 @@ def _geom_rows(seed: int, configs: int, samples: int) -> list[tuple[str, float, 
         est = geo.truncated_omitted_area(o, q, u, sq, samples=max(10_000, samples // 10), seed=derived_seed(seed, 99, k))
         if est.value > geo.omitted_area(o, q, u) + 3.0 * est.std_error:
             violations += 1
-    rows.append(("clipped_exceeds_full_count", float(violations), 0.0, True))
+    rows.append(("clipped_exceeds_full_count", float(violations), 0.0))
 
-    return [(name, float(stat), bound, float(stat) <= bound) for name, stat, bound, _ in rows]
+    return [(name, float(stat), bound, float(stat) <= bound) for name, stat, bound in rows]
 
 
 def _cmd_geom_check(args) -> int:
+    if args.configs < 1:
+        raise ValueError(f"--configs must be >= 1, got {args.configs}")
     rows = _geom_rows(args.seed, args.configs, args.samples)
     _emit(csv_text(["check", "statistic", "bound", "pass"], rows), args.out)
     return 0 if all(ok for *_, ok in rows) else 2

@@ -43,6 +43,7 @@ __all__ = [
     "extreme_points",
     "mc_area_oracle",
     "disk_membership",
+    "region_membership",
 ]
 
 _TAU = 2.0 * math.pi
@@ -130,6 +131,22 @@ def _require_finite(*points):
     for p in points:
         if not (math.isfinite(p[0]) and math.isfinite(p[1])):
             raise ValueError(f"non-finite point {tuple(p)!r}")
+
+
+def _sq_dist(dx, dy):
+    """``dx * dx + dy * dy``, computed in place on arrays: the result is
+    ``dx``, and ``dy`` is overwritten too.  Scalars give the same value.
+
+    This is the one float expression of "within distance 1": a point is
+    in a unit disk when it is <= 1.  `rgg.build_udg` joins vertices with
+    it, Rule 2 tests coverage with it, and every sampled region here and
+    in `local_coverage` is decided by it, so "a covers x" and "a is
+    adjacent to x" agree to the last bit.
+    """
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
 
 
 def dist(p, q) -> float:
@@ -375,12 +392,22 @@ def truncated_disk_area(o, square: SquareRegion) -> float:
 
 def disk_membership(center) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Vectorized membership predicate for the closed unit disk."""
-    cx, cy = center[0], center[1]
+    return region_membership((center,), ())
 
-    def inside(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return (xs - cx) ** 2 + (ys - cy) ** 2 <= 1.0
 
-    return inside
+def region_membership(inside, outside) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Vectorized predicate of the region `_region_area(inside, outside)`
+    measures: the points in every closed unit disk about ``inside`` and in
+    none about ``outside``."""
+
+    def member(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        hit = np.ones(xs.shape, dtype=bool)
+        for want, centers in ((True, inside), (False, outside)):
+            for c in centers:
+                hit &= (_sq_dist(xs - c[0], ys - c[1]) <= 1.0) == want
+        return hit
+
+    return member
 
 
 def mc_area_oracle(
@@ -454,14 +481,7 @@ def truncated_omitted_area(
     _require_finite(o, q, u)
     if not square.contains(o):
         raise ValueError(f"center {tuple(o)!r} outside square of side {square.side}")
-    in_o = disk_membership(o)
-    in_q = disk_membership(q)
-    in_u = disk_membership(u)
-
-    def member(xs, ys):
-        return in_o(xs, ys) & ~in_q(xs, ys) & ~in_u(xs, ys)
-
-    return mc_area_oracle(member, _disk_square_bounds(o, square), samples, seed)
+    return mc_area_oracle(region_membership((o,), (q, u)), _disk_square_bounds(o, square), samples, seed)
 
 
 def sector_of(frame: SectorFrame, p) -> Optional[tuple[str, int]]:
@@ -475,7 +495,7 @@ def sector_of(frame: SectorFrame, p) -> Optional[tuple[str, int]]:
     """
     _require_finite(p)
     dx, dy = p[0] - frame.center[0], p[1] - frame.center[1]
-    r2 = dx * dx + dy * dy
+    r2 = _sq_dist(dx, dy)
     if r2 == 0.0:
         raise ValueError("the frame center has no sector")
     if r2 > frame.delta * frame.delta:

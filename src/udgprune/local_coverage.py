@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .geometry import Point2D, SectorFrame, SquareRegion, _disk_square_bounds, sector_of, truncated_disk_area
+from .geometry import Point2D, SectorFrame, SquareRegion, _disk_square_bounds, _sq_dist, sector_of, truncated_disk_area
 from .util import derived_seed, wilson_interval
 
 __all__ = [
@@ -61,7 +61,7 @@ class ColoredSample:
 
     def __post_init__(self):
         c = self.frame.center
-        d2 = (self.blue[:, 0] - c[0]) ** 2 + (self.blue[:, 1] - c[1]) ** 2
+        d2 = _sq_dist(self.blue[:, 0] - c[0], self.blue[:, 1] - c[1])
         object.__setattr__(self, "core", np.flatnonzero(d2 <= self.frame.delta**2))
 
     @property
@@ -126,7 +126,7 @@ def sample_truncated_disk(
         cand = rng.random((batch, 2))
         cand[:, 0] = cand[:, 0] * (xhi - xlo) + xlo
         cand[:, 1] = cand[:, 1] * (yhi - ylo) + ylo
-        keep = (cand[:, 0] - center[0]) ** 2 + (cand[:, 1] - center[1]) ** 2 <= 1.0
+        keep = _sq_dist(cand[:, 0] - center[0], cand[:, 1] - center[1]) <= 1.0
         hits = int(keep.sum())
         take = min(count - got, hits)
         if take:
@@ -201,11 +201,11 @@ def sector_stats(sample: ColoredSample) -> SectorStats:
 
 def _pair_dominates(sample: ColoredSample, g1: np.ndarray, g2: np.ndarray) -> bool:
     """Are g1 and g2 adjacent, with every sample point within 1 of one of them?"""
-    if (g1[0] - g2[0]) ** 2 + (g1[1] - g2[1]) ** 2 > 1.0:
+    if _sq_dist(g1[0] - g2[0], g1[1] - g2[1]) > 1.0:
         return False
     for pts in (sample.white, sample.blue):
-        near1 = (pts[:, 0] - g1[0]) ** 2 + (pts[:, 1] - g1[1]) ** 2 <= 1.0
-        near2 = (pts[:, 0] - g2[0]) ** 2 + (pts[:, 1] - g2[1]) ** 2 <= 1.0
+        near1 = _sq_dist(pts[:, 0] - g1[0], pts[:, 1] - g1[1]) <= 1.0
+        near2 = _sq_dist(pts[:, 0] - g2[0], pts[:, 1] - g2[1]) <= 1.0
         if not (near1 | near2).all():
             return False
     return True

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import SquareRegion
+from .geometry import SquareRegion, _sq_dist
 
 __all__ = [
     "UnitDiskGraph",
@@ -94,26 +94,11 @@ class UnitDiskGraph:
         return self.nbr_flat[self.nbr_offsets[vid - 1] : self.nbr_offsets[vid]]
 
     def degree(self, vid: int) -> int:
-        return int(self.nbr_offsets[vid] - self.nbr_offsets[vid - 1])
+        return len(self.neighbors(vid))
 
     def closed_neighborhood(self, vid: int) -> np.ndarray:
         """Sorted IDs of ``vid`` and everything adjacent to it."""
         return np.sort(np.append(self.neighbors(vid), vid))
-
-
-def _sq_dist(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """``dx * dx + dy * dy``, computed in place: the result is ``dx``, and
-    ``dy`` is overwritten too.
-
-    This is the one float expression of adjacency: vertices are adjacent
-    when it is <= 1.  `build_udg` joins vertices with it and Rule 2 tests
-    coverage with it, so "a covers x" and "a is adjacent to x" agree to
-    the last bit.
-    """
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx
 
 
 # candidate pairs per pass of the cell join, and edges per pass of the CSR

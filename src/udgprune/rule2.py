@@ -32,7 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .rgg import UnitDiskGraph, _component_labels, _sq_dist, components
+from .geometry import _sq_dist
+from .rgg import UnitDiskGraph, _component_labels, components
 
 __all__ = [
     "GatewaySet",

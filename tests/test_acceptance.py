@@ -7,9 +7,10 @@ standard errors, exact paths use 1e-9 or 1e-12 as stated.
 
 The asymptotic statements themselves are checked as directional or
 shape properties at reachable sizes.  One literal transcription (the
-matched-sector mean at b=1e5) is mathematically out of reach at desk
-scale; it is kept as a strict expected failure with the analysis
-attached, and its mechanism is validated at a small size instead.
+matched-sector mean at b=1e5) compares against a formula that is the
+exact mean's leading term only at log exponent 2.0, not the experiment's
+1.5; it is kept as a strict expected failure with the analysis attached,
+and its mechanism is validated at a small size instead.
 """
 
 import json
@@ -264,7 +265,7 @@ def test_c07_adjacency_oracle():
         pts = rgg.sample_points(n, sq, seed=derived_seed(MASTER, 71, k))
         g = rgg.build_udg(pts, sq)
         expected = rgg.brute_force_edges(pts)
-        assert set(map(tuple, g.edges)) == set(map(tuple, expected)), (k, n, side)
+        assert np.array_equal(g.edges, expected), (k, n, side)
     _announce("adjacency-oracle", True, f"50 graphs n<=3000, {time.time()-t0:.0f}s")
 
 
@@ -299,10 +300,12 @@ def test_c08_coverage_trend():
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "E(tau) = b^(1/3) density^2 / (4 ln^6 b) is ~5e-6 at b=1e5, so the "
-        "mean over 200 trials is 0 almost surely and no reachable b helps "
-        "(the expression first reaches 1 near b ~ e^85); kept as the literal "
-        "criterion with the mechanism validated separately below"
+        "b^(1/3) density^2 / (4 ln^6 b) is the mean's leading term only for "
+        "sectors counted with (ln b)^2; with the experiment's exponent 1.5 the "
+        "exact mean is 3.39 times the formula at b=1e5 (see "
+        "test_c09_exact_mean_against_formula), so no number of trials closes "
+        "the gap, and 200 trials see a mean of 0 almost surely; kept as the "
+        "literal criterion with the mechanism validated separately below"
     ),
 )
 def test_c09_matched_sector_mean_literal():
@@ -326,6 +329,25 @@ def test_c09_matched_sector_mean_literal():
     assert abs(emp - expected) <= 0.3 * expected
 
 
+def _exact_mean_tau(b, log_exponent):
+    """E tau = L b(b-1) p^2 (1-2p)^(b-2), p = delta^2 / (2L), for an
+    interior centre, where each sector holds a blue point w.p. p."""
+    frame = SectorFrame(Point2D(0.0, 0.0), b, log_exponent=log_exponent)
+    L = frame.count
+    p = frame.delta**2 / (2 * L)
+    return L * b * (b - 1) * p**2 * math.exp((b - 2) * math.log1p(-2 * p))
+
+
+def test_c09_exact_mean_against_formula():
+    """The formula b^(1/3) / (4 ln^6 b) is the exact matched-sector mean's
+    leading term at log exponent 2.0, and at least 2.5 times too small at
+    the experiment's 1.5, up to b = 1e12."""
+    for b in (10**3, 10**5, 10**8, 10**12):
+        formula = b ** (1 / 3) / (4.0 * math.log(b) ** 6)
+        assert abs(_exact_mean_tau(b, 2.0) / formula - 1.0) <= 2e-3, b
+        assert _exact_mean_tau(b, 1.5) / formula >= 2.5, b
+
+
 def test_c09_matched_sector_mean_mechanism():
     """Mechanism check at a size where the count is observable: the
     empirical matched-sector mean at b=10 matches the exact binomial law
@@ -334,10 +356,7 @@ def test_c09_matched_sector_mean_mechanism():
     sq = SquareRegion(10.0)
     center = (5.0, 5.0)
     b = 10
-    delta = 1.0 / (b ** (1 / 3) * math.log(b))
-    L = math.floor(b ** (1 / 3) * math.log(b) ** 1.5)
-    p = delta**2 / (2 * L)
-    exact = L * b * (b - 1) * p**2 * (1 - 2 * p) ** (b - 2)
+    exact = _exact_mean_tau(b, 1.5)
     trials = 20_000
     taus = np.empty(trials)
     for t in range(trials):

@@ -280,6 +280,14 @@ class TestGeomCheck:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("configs", ["0", "-3"])
+    def test_configs_below_one_exits_one(self, tmp_path, capsys, configs):
+        out = tmp_path / "geom.csv"
+        assert main(["geom-check", "--configs", configs, "--samples", "1000", "--out", str(out)]) == 1
+        assert "--configs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
+
 
 @pytest.mark.parametrize("command", ["run-rule2", "verify"])
 @pytest.mark.parametrize(

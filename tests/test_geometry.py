@@ -376,6 +376,30 @@ class TestExtremePoints:
             geo.extreme_points(frame, -1)
 
 
+class TestRegionMembership:
+    def test_matches_the_disk_predicates(self):
+        rng = np.random.default_rng(4)
+        xs, ys = rng.uniform(-2.0, 2.0, (2, 20_000))
+        o, q, u = (0.0, 0.0), (0.7, 0.2), (-0.4, 0.9)
+        mo, mq, mu = map(geo.disk_membership, (o, q, u))
+        assert (geo.region_membership((o, q, u), ())(xs, ys) == (mo(xs, ys) & mq(xs, ys) & mu(xs, ys))).all()
+        assert (geo.region_membership((o,), (q, u))(xs, ys) == (mo(xs, ys) & ~mq(xs, ys) & ~mu(xs, ys))).all()
+
+    def test_open_chain_area_against_oracle(self):
+        # two inside and one outside circle through one common point: cut
+        # angles rounded inconsistently there leave a boundary chain that
+        # does not close, and `_region_area` places its vertices relative
+        # to inside[0] (placed relative to the chain's first vertex, the
+        # area comes out 1.6772)
+        inside = ((-1.80179550462934, -0.7164972080802163), (-1.928265375108372, -0.33540082214719746))
+        outside = ((-0.1261330378571789, -0.8050389978139187),)
+        area = geo._region_area(inside, outside)
+        assert area == pytest.approx(2.27655, abs=1e-5)
+        x, y = inside[0]
+        est = geo.mc_area_oracle(geo.region_membership(inside, outside), (x - 1, x + 1, y - 1, y + 1), 4 * 10**6, seed=5)
+        assert abs(area - est.value) <= 3.0 * est.std_error
+
+
 class TestMcAreaOracle:
     def test_full_predicate(self):
         est = geo.mc_area_oracle(lambda xs, ys: np.ones_like(xs, bool), (0, 2, 0, 3), 1000, 0)

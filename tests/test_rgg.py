@@ -174,6 +174,14 @@ class TestBuildUdg:
         assert 7 in nb
         assert set(nb) == {7} | set(int(x) for x in g.neighbors(7))
 
+    def test_degree_is_neighbor_count_and_checks_the_id(self):
+        sq = SquareRegion(5.0)
+        g = rgg.build_udg(rgg.sample_points(50, sq, seed=3), sq)
+        assert [g.degree(v) for v in range(1, 51)] == [len(g.neighbors(v)) for v in range(1, 51)]
+        for vid in (0, -1, 51):
+            with pytest.raises(ValueError, match="out of range 1..50"):
+                g.degree(vid)
+
     def test_byte_identical_graphs_from_same_seed(self, tmp_path):
         sq = SquareRegion(6.0)
         g1 = rgg.build_udg(rgg.sample_points(200, sq, seed=4), sq, seed=4)
