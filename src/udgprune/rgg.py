@@ -2,10 +2,10 @@
 
 Vertices carry 1-based integer IDs; ID order is the total order the
 pruning rule uses.  Adjacency joins vertices at Euclidean distance <= 1.
-It is built by a cell join: the points are sorted by unit-side cell, and
-each cell is joined with itself and four of its neighbours through
-``searchsorted`` ranges, so a radius-1 query touches at most a 3x3 block
-of cells and no Python loop runs per cell.  The join and the adjacency
+It is built by a cell join: the points are sorted by unit-side cell key,
+and each point is joined with two runs of consecutive keys found by
+``searchsorted``, so a radius-1 query touches at most a 3x3 block of
+cells and no Python loop runs per cell.  The join and the adjacency
 fill run in passes of bounded size, and vertex indices are int32.  A
 constructed graph is immutable and safe to share across workers.
 `save_graph` and `load_graph` move a graph through a text file of its
@@ -122,12 +122,13 @@ _LOW_WORD = (1 << 32) - 1
 def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None) -> UnitDiskGraph:
     """Build the unit disk graph on ``points`` (edge iff distance <= 1).
 
-    The points are sorted by unit-cell key, and each point is joined with
-    the points after it in its own cell and with every point of its E, NE,
-    N and NW cells, which covers each pair of neighbouring cells exactly
-    once.  The join runs one cell offset at a time, in passes of about
-    ``_JOIN_BLOCK`` candidate pairs; the cell ranges come from
-    ``searchsorted`` on the sorted keys, so no Python loop runs over cells
+    The points are sorted by unit-cell key ``cx * (ncell + 1) + cy``, and
+    each point is joined with two runs of consecutive keys: the points
+    after it in its own cell and its N cell, then its SE, E and NE cells.
+    A NW pair is the other point's SE pair, so each pair of neighbouring
+    cells is joined exactly once.  A run's slot ranges come from
+    ``searchsorted`` on the sorted keys, and it is joined in passes of
+    about ``_JOIN_BLOCK`` candidate pairs, with no Python loop over cells
     or points.  Candidates are filtered on squared distance, no square
     root is taken, and a pass keeps only the int64 codes (i << 32) | j of
     its edges.  Sorting the codes gives ``edges`` in lexicographic (i, j)
@@ -151,7 +152,7 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None)
     cx = np.clip(np.floor(points[:, 0]).astype(np.int64), 0, ncell - 1)
     cy = np.clip(np.floor(points[:, 1]).astype(np.int64), 0, ncell - 1)
     # column stride ncell + 1 leaves an empty key above each column's top
-    # cell, so the N, NE and NW offsets never wrap into the next column
+    # cell, so a run of keys never reaches a cell that is not a neighbour
     stride = ncell + 1
     key = cx * stride + cy
     order = np.argsort(key, kind="stable").astype(np.int32)
@@ -159,15 +160,11 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None)
     sx, sy = points[order].T.copy()
 
     codes = []
-    # the rest of the point's own cell, then the E, NE, N, NW cells
-    for offset in (0, stride, stride + 1, 1, 1 - stride):
-        # partner slot range [lo, hi) in sorted order, one per point
-        if offset:
-            lo = np.searchsorted(skey, skey + offset, side="left")
-            hi = np.searchsorted(skey, skey + offset, side="right")
-        else:
-            lo = np.arange(1, n + 1)
-            hi = np.searchsorted(skey, skey, side="right")
+    # partner slot ranges [lo, hi) in sorted order, one per point and run of
+    # keys: the rest of its own cell and its N cell, then its SE, E and NE
+    # cells (a NW pair is the other point's SE pair)
+    for lo, last in ((np.arange(1, n + 1), 1), (np.searchsorted(skey, skey + stride - 1), stride + 1)):
+        hi = np.searchsorted(skey, skey + last, side="right")
         count = hi - lo
         part_of = (np.cumsum(count) - count) // _JOIN_BLOCK
         cuts = [0, *(np.flatnonzero(np.diff(part_of)) + 1).tolist(), n]

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from udgprune import rgg
+from udgprune import geometry, rgg
 from udgprune.cli import main
 from udgprune.geometry import SquareRegion
 
@@ -279,6 +279,33 @@ class TestGeomCheck:
             ) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_default_flags_pass(self, tmp_path):
+        # seed 0's largest omitted |z| of 20 is 3.55: above 3, below the
+        # Sidak bound for 20 configurations
+        out = tmp_path / "geom.csv"
+        assert main(["geom-check", "--out", str(out)]) == 0
+        rows = dict(line.split(",", 1) for line in out.read_text().splitlines()[1:])
+        stat, bound, ok = rows["omitted_vs_oracle_max_z"].split(",")
+        assert float(stat) == pytest.approx(3.5507, abs=1e-4)
+        assert float(bound) == pytest.approx(3.8168, abs=1e-4) and ok == "true"
+
+    def test_no_standard_error_fails(self, tmp_path):
+        # one sample per configuration gives no standard error to scale by
+        out = tmp_path / "geom.csv"
+        assert main(["geom-check", "--samples", "1", "--configs", "3", "--out", str(out)]) == 2
+        oracle = [line.split(",") for line in out.read_text().splitlines() if "_vs_oracle_" in line]
+        assert len(oracle) == 4
+        assert all(stat == "nan" and ok == "false" for _, stat, _, ok in oracle)
+
+    def test_oracle_row_catches_a_half_percent_lens_error(self, tmp_path, monkeypatch):
+        exact = geometry.lens_area
+        monkeypatch.setattr(geometry, "lens_area", lambda d: 1.005 * exact(d))
+        out = tmp_path / "geom.csv"
+        assert main(["geom-check", "--out", str(out)]) == 2
+        rows = dict(line.split(",", 1) for line in out.read_text().splitlines()[1:])
+        stat, bound, ok = rows["lens_vs_oracle_max_z"].split(",")
+        assert ok == "false" and float(stat) > float(bound)
 
     @pytest.mark.parametrize("configs", ["0", "-3"])
     def test_configs_below_one_exits_one(self, tmp_path, capsys, configs):

@@ -180,6 +180,25 @@ class TestSectorStats:
         assert abs(emp - exact) <= 3.0 * se
         assert abs(emp - exact) <= 0.3 * exact
 
+    def test_matched_sector_mean_at_a_boundary_centre(self):
+        # the clipped disk has area pi / lambda and the core disk fits in
+        # the square, so each sector holds a blue point w.p.
+        # p = lambda delta^2 / (2L); the interior law (lambda = 1) gives
+        # 0.00507 here, about 9 sigma from the empirical mean
+        center, b = (0.3, 9.75), 10
+        frame = lc.sample_colored(center, SQUARE, 0, b, seed=0).frame
+        L, delta = frame.count, frame.delta
+        p = lc.clipped_disk_density(center, SQUARE) * delta**2 / (2 * L)
+        exact = L * b * (b - 1) * p**2 * (1 - 2 * p) ** (b - 2)
+        assert exact == pytest.approx(0.02396, abs=5e-6)
+        trials = 5000
+        taus = np.empty(trials)
+        for t in range(trials):
+            s = lc.sample_colored(center, SQUARE, 0, b, seed=derived_seed(4242, t))
+            taus[t] = lc.sector_stats(s).tau
+        se = taus.std(ddof=1) / math.sqrt(trials)
+        assert abs(taus.mean() - exact) <= 3.0 * se
+
 
 class TestBluePairDominates:
     def test_single_blue_cannot_form_pair(self):

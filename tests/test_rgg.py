@@ -103,6 +103,19 @@ class TestBuildUdg:
         assert np.array_equal(g.edges, expected)
         assert int(np.sum(np.sum((pts[expected[:, 0]] - pts[expected[:, 1]]) ** 2, axis=1) == 1.0)) > 50
 
+    @pytest.mark.parametrize("side", [0.5, 1.0, 1.5, 1.99])
+    def test_matches_brute_force_in_one_or_two_columns(self, side):
+        # below side 2 the square has one or two cell columns, and only the
+        # empty key above each column keeps a run of keys from reaching a
+        # cell twice: a quarter-unit lattice plus 200 random points, shuffled
+        ticks = np.arange(0.0, side + 1e-9, 0.25)
+        lattice = np.array([(x, y) for x in ticks for y in ticks])
+        rng = np.random.default_rng(int(side * 100))
+        pts = np.concatenate([lattice, rng.random((200, 2)) * side])
+        pts = pts[rng.permutation(len(pts))]
+        g = rgg.build_udg(pts, SquareRegion(side))
+        assert np.array_equal(g.edges, rgg.brute_force_edges(pts))
+
     def test_index_dtypes(self):
         sq = SquareRegion(6.0)
         g = rgg.build_udg(rgg.sample_points(300, sq, seed=12), sq)
@@ -120,7 +133,7 @@ class TestBuildUdg:
         assert all(len(g.neighbors(v)) == 0 for v in range(1, g.n + 1))
 
     def test_small_passes_build_the_same_graph(self, monkeypatch):
-        # passes of 7 candidates or edges: many passes per cell offset, and
+        # passes of 7 candidates or edges: many passes per run of keys, and
         # single points with more candidates than one pass holds
         sq = SquareRegion(4.0)
         pts = rgg.sample_points(400, sq, seed=13)
