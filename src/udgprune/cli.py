@@ -77,7 +77,13 @@ def _geom_rows(seed: int, configs: int, samples: int) -> list[tuple[str, float, 
             est = geo.mc_area_oracle(member, box, samples, seed=derived_seed(seed, tag, k))
             if est.std_error > 0:
                 zs.append(abs(exact - est.value) / est.std_error)
+            elif abs(exact - est.value) > (box[1] - box[0]) * (box[3] - box[2]) * math.log(1 / 0.0027) / samples:
+                # all misses (or all hits) when the region (or its complement)
+                # has area a happen with probability at most
+                # exp(-samples * a / box area), below 0.0027 past this gap
+                zs.append(math.inf)
         # nan, which fails, if no configuration had a nonzero standard error
+        # and none failed outright
         rows.append((f"{kind}_vs_oracle_max_z", max(zs, default=math.nan), z_bound))
 
     # closed-form identities for the two-points-on-a-circle lens term

@@ -6,7 +6,8 @@ It is built by a cell join: the points are sorted by unit-side cell key,
 and each point is joined with two runs of consecutive keys found by
 ``searchsorted``, so a radius-1 query touches at most a 3x3 block of
 cells and no Python loop runs per cell.  The join and the adjacency
-fill run in passes of bounded size, and vertex indices are int32.  A
+fill run in passes of bounded size, and vertex indices are int32.
+`components` is a union-find over passes of edges, in numpy alone.  A
 constructed graph is immutable and safe to share across workers.
 `save_graph` and `load_graph` move a graph through a text file of its
 points in bulk: lines are formatted and written in blocks, and the body
@@ -21,8 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .geometry import SquareRegion, _sq_dist
 
@@ -71,9 +70,8 @@ class UnitDiskGraph:
     order; the CSR-style arrays ``nbr_flat`` (int32, 2m) and
     ``nbr_offsets`` (int64, n + 1, since 2m can pass 2^31) give each
     vertex's sorted neighbor IDs.  So n < 2^31.  ``edges`` holds every edge
-    a second time, but `components` and `rule2.verify_cds` read it as the
-    COO input of scipy's component labelling, which was both faster and
-    smaller than a CSR over both directions.
+    a second time; `components` and `rule2.verify_cds` take their passes of
+    edges from it.
     """
 
     points: np.ndarray
@@ -245,15 +243,43 @@ def brute_force_edges(points: np.ndarray) -> np.ndarray:
 
 
 def components(g: UnitDiskGraph) -> tuple[int, np.ndarray]:
-    """Connected-component count and per-vertex labels (0-based)."""
+    """Connected-component count and per-vertex int32 labels (0-based),
+    numbered in order of each component's smallest vertex."""
     return _component_labels(g.n, g.edges)
 
 
 def _component_labels(n: int, edges: np.ndarray) -> tuple[int, np.ndarray]:
-    data = np.ones(len(edges), dtype=np.int8)
-    mat = coo_matrix((data, (edges[:, 0], edges[:, 1])), shape=(n, n))
-    count, labels = connected_components(mat, directed=False)
-    return int(count), labels
+    """Union-find over ``edges`` (an (m, 2) array of index pairs) on n
+    vertices, in passes of ``max(n, _JOIN_BLOCK)`` edges: each pass costs
+    O(n) for its pointer jumps, so the pass size grows with n."""
+    parent = np.arange(n, dtype=np.intp)
+    step = max(n, _JOIN_BLOCK)
+    for s in range(0, len(edges), step):
+        lo, hi = edges[s : s + step].T
+        ru, rv = parent[lo], parent[hi]
+        while True:
+            join = np.flatnonzero(ru != rv)
+            if not len(join):
+                break
+            ru, rv = ru[join], rv[join]
+            # both ends are roots; hang the larger on the smaller.  Where hi
+            # repeats, one lo wins and the others' edges stay for the next
+            # round, but every candidate is below hi, so pointers only fall
+            # and no cycle forms
+            lo = np.minimum(ru, rv)
+            hi = np.maximum(ru, rv, out=rv)
+            parent[hi] = lo
+            while True:
+                jumped = parent[parent]
+                if np.array_equal(jumped, parent):
+                    break
+                parent = jumped
+            ru, rv = parent[lo], parent[hi]
+    # each root is its component's smallest vertex
+    roots = parent == np.arange(n)
+    labels = np.cumsum(roots, dtype=np.int32)
+    labels -= 1
+    return int(np.count_nonzero(roots)), labels[parent]
 
 
 # vertices formatted per write in `save_graph`: a block's floats and lines

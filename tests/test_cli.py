@@ -307,6 +307,17 @@ class TestGeomCheck:
         stat, bound, ok = rows["lens_vs_oracle_max_z"].split(",")
         assert ok == "false" and float(stat) > float(bound)
 
+    def test_oracle_row_catches_an_area_for_disjoint_disks(self, tmp_path, monkeypatch):
+        # disks at distance d > 2 are disjoint: the estimate is 0 with no
+        # standard error, and an exact area of 0.3 is far outside the bound
+        exact, drawn = geometry.lens_area, []
+        monkeypatch.setattr(geometry, "lens_area", lambda d: drawn.append(d) or (0.3 if d >= 2 else exact(d)))
+        out = tmp_path / "geom.csv"
+        assert main(["geom-check", "--seed", "0", "--configs", "20", "--out", str(out)]) == 2
+        assert any(d > 2 for d in drawn)
+        rows = dict(line.split(",", 1) for line in out.read_text().splitlines()[1:])
+        assert rows["lens_vs_oracle_max_z"].split(",")[::2] == ["inf", "false"]
+
     @pytest.mark.parametrize("configs", ["0", "-3"])
     def test_configs_below_one_exits_one(self, tmp_path, capsys, configs):
         out = tmp_path / "geom.csv"

@@ -231,6 +231,52 @@ class TestComponents:
             connected += count == 1
         assert connected >= 95, connected
 
+    def test_labels_match_scipy(self):
+        rng = np.random.default_rng(2024)
+        for seed in range(300):
+            # sides up to 80 leave many components and isolated vertices
+            n, side = int(rng.integers(1, 3001)), float(rng.uniform(0.5, 80.0))
+            sq = SquareRegion(side)
+            g = rgg.build_udg(rgg.sample_points(n, sq, seed=seed), sq)
+            _check_against_scipy(rgg.components(g), n, g.edges)
+            sub = g.edges[rng.random(len(g.edges)) < rng.random()]
+            _check_against_scipy(rgg._component_labels(n, sub), n, sub)
+        for n in (1, 500):
+            none = np.empty((0, 2), dtype=np.int32)
+            _check_against_scipy(rgg._component_labels(n, none), n, none)
+        # about 516k edges: four passes of max(n, _JOIN_BLOCK) edges
+        sq = SquareRegion(3.0)
+        g = rgg.build_udg(rgg.sample_points(2000, sq, seed=7), sq)
+        assert len(g.edges) > 3 * max(g.n, rgg._JOIN_BLOCK)
+        _check_against_scipy(rgg.components(g), g.n, g.edges)
+
+    def test_labels_match_scipy_in_passes_of_n_edges(self, monkeypatch):
+        # passes of n edges, so a sparse graph with many components is
+        # labelled in several passes, each joining what earlier ones left
+        rng = np.random.default_rng(99)
+        passes = []
+        for seed in range(60):
+            n = int(rng.integers(200, 1500))
+            sq = SquareRegion(math.sqrt(n * math.pi / rng.uniform(2.5, 5.0)))
+            g = rgg.build_udg(rgg.sample_points(n, sq, seed=seed), sq)
+            passes.append(-(-len(g.edges) // n))
+            with monkeypatch.context() as m:
+                m.setattr(rgg, "_JOIN_BLOCK", 1)
+                _check_against_scipy(rgg.components(g), n, g.edges)
+        assert min(passes) >= 2
+
+
+def _check_against_scipy(got, n, edges):
+    """Assert that ``got`` equals scipy's count and int32 labels."""
+    # scipy is a test dependency only; the labelling it checks is numpy
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    ones = np.ones(len(edges), dtype=np.int8)
+    count, labels = connected_components(coo_matrix((ones, edges.T), shape=(n, n)), directed=False)
+    assert got[0] == count and got[1].dtype == np.int32
+    assert np.array_equal(got[1], labels)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
