@@ -13,6 +13,9 @@ A sample finds its core points when it is built (`ColoredSample.core`);
 samples of a seeded experiment, trial t from ``derived_seed(seed, t)``.
 `sample_colored` alone picks the sector frame, the paper's with
 ``log_exponent`` 1.5; every reader takes it from ``sample.frame``.
+`sample_truncated_disk` takes each batch's accepted rows with
+`np.compress` along axis 0, because ``cand[keep]`` on (batch, 2) rows
+measured about 10 times slower on numpy 2.4.6.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ def sample_truncated_disk(
         hits = int(keep.sum())
         take = min(count - got, hits)
         if take:
-            out[got : got + take] = cand[keep][:take]
+            out[got : got + take] = np.compress(keep, cand, axis=0)[:take]
             got += take
         if take < hits:
             # count only proposals up to and including the last accepted one

@@ -155,7 +155,7 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None)
     key = cx * stride + cy
     order = np.argsort(key, kind="stable").astype(np.int32)
     skey = key[order]
-    sx, sy = points[order].T.copy()
+    sx, sy = np.take(points, order, axis=0).T.copy()
 
     codes = []
     # partner slot ranges [lo, hi) in sorted order, one per point and run of

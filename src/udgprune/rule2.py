@@ -22,7 +22,9 @@ graph's component count.
 
 `is_excluded` and the oracle `brute_force_prune` share one literal search
 over closed-neighbourhood sets, and `verify_cds` counts induced components
-over all n vertices.
+over all n vertices.  Rows of 2-D arrays are gathered with `np.take` and
+`np.compress` along axis 0, because ``a[idx]`` and ``a[mask]`` on narrow
+rows measured about 10 times slower on numpy 2.4.6.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def _covered(xs, ys, low, up) -> np.ndarray:
     adjacent pair of their higher neighbours covers."""
     covered = np.zeros(len(xs), dtype=bool)
     first = np.flatnonzero(up >= _WITNESS_MIN_UP)
-    covered[first] = _witness_covers(xs[first], ys[first], low[first])
+    covered[first] = _witness_covers(np.take(xs, first, axis=0), np.take(ys, first, axis=0), low[first])
     rest = np.flatnonzero(~covered)
     covered[rest] = _masks_cover(xs, ys, rest, low[rest], up[rest])
     return covered
@@ -220,12 +222,12 @@ def _witness_covers(xs, ys, low) -> np.ndarray:
     di -= da
     covered = _pair_covers(xs, ys, da, partner, di)
     left = np.flatnonzero(~covered)
-    xs, ys = xs[left], ys[left]
-    da = np.fmax(da[left], -1.0)  # padding at -1, below every real member
+    xs, ys = np.take(xs, left, axis=0), np.take(ys, left, axis=0)
+    da = np.fmax(np.take(da, left, axis=0), -1.0)  # padding at -1, below every real member
     rows = np.arange(len(left))
     far = da.argmax(axis=1)
     dfar = _sq_dist(xs - xs[rows, far][:, None], ys - ys[rows, far][:, None])
-    covered[left] = _pair_covers(xs, ys, da, partner[left], dfar)
+    covered[left] = _pair_covers(xs, ys, da, np.take(partner, left, axis=0), dfar)
     return covered
 
 
@@ -247,9 +249,9 @@ def _masks_cover(xs, ys, rest, low, up) -> np.ndarray:
     # one row per up-pair (i, a); ``col`` is the column of a in row i
     row = np.repeat(rest, up)
     col = np.arange(len(row)) + np.repeat(low + 1 - (np.cumsum(up) - up), up)
-    dx = xs[row]
+    dx = np.take(xs, row, axis=0)
     dx -= xs[row, col][:, None]
-    dy = ys[row]
+    dy = np.take(ys, row, axis=0)
     dy -= ys[row, col][:, None]
     d2 = _sq_dist(dx, dy)
 
@@ -264,7 +266,7 @@ def _masks_cover(xs, ys, rest, low, up) -> np.ndarray:
     pair = flat // width
     # the up-pairs of a row are consecutive and in column order
     other = pair + flat % width - col[pair]
-    hit = ~(words[pair] & words[other]).any(axis=1)
+    hit = ~(np.take(words, pair, axis=0) & np.take(words, other, axis=0)).any(axis=1)
     covered = np.zeros(len(xs), dtype=bool)
     covered[row[pair[hit]]] = True
     return covered[rest]
@@ -306,15 +308,16 @@ def verify_cds(g: UnitDiskGraph, c: GatewaySet) -> CdsReport:
     in_c = np.zeros(g.n, dtype=bool)
     in_c[member_arr - 1] = True
 
-    ei, ej = g.edges[:, 0], g.edges[:, 1]
-    covered = in_c.copy()
-    covered[ei[in_c[ej]]] = True
-    covered[ej[in_c[ei]]] = True
-    dominating = bool(covered.all())
+    n_graph, _ = components(g)  # first, so ci and cj do not add 2m bytes to its peak
 
-    n_graph, _ = components(g)
+    ei, ej = g.edges[:, 0], g.edges[:, 1]
+    ci, cj = in_c[ei], in_c[ej]
+    covered = in_c.copy()
+    covered[ei[cj]] = True
+    covered[ej[ci]] = True
+    dominating = bool(covered.all())
     # over all n vertices, each vertex outside C is a component of its own
-    n_all, _ = _component_labels(g.n, g.edges[in_c[ei] & in_c[ej]])
+    n_all, _ = _component_labels(g.n, np.compress(ci & cj, g.edges, axis=0))
     n_induced = n_all - (g.n - len(member_arr))
 
     return CdsReport(

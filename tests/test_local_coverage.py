@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from udgprune import local_coverage as lc
-from udgprune.geometry import Point2D, SectorFrame, SquareRegion, sector_of
+from udgprune.geometry import Point2D, SectorFrame, SquareRegion, _disk_square_bounds, _sq_dist, sector_of
 from udgprune.util import derived_seed, wilson_interval
 
 SQUARE = SquareRegion(10.0)
@@ -92,6 +92,79 @@ class TestSampleColored:
             lc.sample_colored(CENTER, SQUARE, w=-1, b=10, seed=0)
         with pytest.raises(ValueError):
             lc.sample_colored(CENTER, SQUARE, w=0, b=0, seed=0)
+
+
+def _reference_truncated_disk(center, square, count, rng):
+    """`sample_truncated_disk`'s per-batch loop with the accepted rows taken
+    by a boolean index, ``cand[keep][:take]``: the stream the sampler must
+    reproduce point for point, with the same proposal count."""
+    xlo, xhi, ylo, yhi = _disk_square_bounds(center, square)
+    out = np.empty((count, 2), dtype=float)
+    got = 0
+    proposals = 0
+    batch = 8192
+    while got < count:
+        cand = rng.random((batch, 2))
+        cand[:, 0] = cand[:, 0] * (xhi - xlo) + xlo
+        cand[:, 1] = cand[:, 1] * (yhi - ylo) + ylo
+        keep = _sq_dist(cand[:, 0] - center[0], cand[:, 1] - center[1]) <= 1.0
+        hits = int(keep.sum())
+        take = min(count - got, hits)
+        if take:
+            out[got : got + take] = cand[keep][:take]
+            got += take
+        if take < hits:
+            proposals += int(np.flatnonzero(keep)[take - 1]) + 1
+        else:
+            proposals += batch
+    return out, proposals
+
+
+def _batch_hits(center, square, seed, batches):
+    """Accepted proposals in each of the first ``batches`` batches from ``seed``."""
+    xlo, xhi, ylo, yhi = _disk_square_bounds(center, square)
+    cand = np.random.default_rng(seed).random((batches * 8192, 2))
+    dx = cand[:, 0] * (xhi - xlo) + xlo - center[0]
+    dy = cand[:, 1] * (yhi - ylo) + ylo - center[1]
+    d2 = dx * dx + dy * dy
+    return (d2 <= 1.0).reshape(batches, 8192).sum(axis=1)
+
+
+class TestSampleTruncatedDiskStream:
+    def _assert_same_stream(self, center, square, count, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pts, proposals = lc.sample_truncated_disk(center, square, count, rng)
+        ref_pts, ref_proposals = _reference_truncated_disk(center, square, count, ref_rng)
+        case = (center, square.side, count, seed)
+        assert np.array_equal(pts, ref_pts), case
+        assert proposals == ref_proposals, case
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, case
+        return proposals
+
+    def test_matches_the_reference_loop(self):
+        rng = np.random.default_rng(20261019)
+        cases = []
+        # interior, edge and corner centres, and one whose disk the square clips on all four sides
+        centres = [(5.0, 5.0), (0.3, 5.0), (5.0, 9.95), (10.0, 4.0), (0.0, 0.0), (10.0, 10.0), (0.4, 9.7)]
+        fixed = [(SQUARE, c) for c in centres] + [(SquareRegion(1.5), (0.75, 0.75))]
+        for square, center in fixed:
+            cases += [(square, center, count) for count in (0, 1, 2, 7, 3000, 4321, 20_000)]
+        cases += [(SQUARE, c, 200_000) for c in [(5.0, 5.0), (0.3, 5.0), (0.0, 0.0)]]
+        for _ in range(150):
+            center = tuple(rng.uniform(0.0, 10.0, size=2).tolist())
+            cases.append((SQUARE, center, int(10 ** rng.uniform(0.0, 4.5))))
+        assert len(cases) >= 200
+        for seed, (square, center, count) in enumerate(cases):
+            self._assert_same_stream(center, square, count, seed)
+
+    def test_count_ending_on_a_batch_takes_the_whole_batch(self):
+        # a count equal to the hits of the first k batches takes all of batch
+        # k, so every proposal of the k batches is counted
+        for center, seed in [((5.0, 5.0), 3), ((0.3, 5.0), 4), ((0.0, 0.0), 5)]:
+            hits = np.cumsum(_batch_hits(center, SQUARE, seed, 3))
+            for k, count in enumerate(hits.tolist(), start=1):
+                assert self._assert_same_stream(center, SQUARE, count, seed) == k * 8192
+                assert self._assert_same_stream(center, SQUARE, count - 1, seed) < k * 8192
 
 
 class TestSectorStats:
