@@ -178,12 +178,15 @@ def _cmd_geom_check(args) -> int:
 # ----------------------------------------------------------------- run-rule2
 
 def _cmd_run_rule2(args) -> int:
+    sampled = (args.n, args.side, args.seed)
     if args.graph is not None:
+        if sampled != (None, None, None):
+            raise ValueError("--graph takes n, side and seed from the file: drop --n, --side and --seed")
         res = hz.graph_trial(rgg.load_graph(args.graph))
-    elif args.n is None or args.side is None or args.seed is None:
+    elif None in sampled:
         raise ValueError("need --graph FILE or all of --n, --side, --seed")
     else:
-        res = hz.run_trial(args.n, args.side, args.seed)
+        res = hz.run_trial(*sampled)
     payload = {
         "n": res.n,
         "side": res.side,

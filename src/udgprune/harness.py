@@ -25,7 +25,7 @@ import numpy as np
 from .geometry import SquareRegion, truncated_disk_area
 from .rgg import _check_vertex_count, build_udg, components, ell_power, ell_sqrt, sample_points
 from .rule2 import prune, verify_cds
-from .util import csv_text, derived_seed, wilson_interval
+from .util import csv_text, derived_seed
 
 __all__ = [
     "Schedule",
@@ -33,7 +33,6 @@ __all__ = [
     "VertexStatsArrays",
     "VertexStats",
     "default_alpha",
-    "alpha_conditions",
     "make_schedule",
     "vertex_stats",
     "all_vertex_stats",
@@ -44,7 +43,6 @@ __all__ = [
     "sweep",
     "sweep_rows_to_csv",
     "aggregate_rows",
-    "conditional_prune_rate",
     "concentration_check",
     "CSV_SCHEMA_VERSION",
     "CSV_COLUMNS",
@@ -76,8 +74,8 @@ class Schedule:
 
     ``alpha`` is the label-window cut, ``xi = alpha / ell^2`` the crowding
     ratio, ``margin = 1 / (ln xi)^{3/2}`` the boundary margin used by the
-    interior event, and [window_lo, window_hi) the label window the
-    conditional pruning rate is measured on.
+    interior event, and [window_lo, window_hi) the label window that
+    `concentration_check` reads.
     """
 
     n: int
@@ -138,23 +136,6 @@ def default_alpha(n: int, profile: str) -> float:
             raise ValueError(f"power profile needs n >= 3, got {n}")
         return n / math.log(n)
     raise ValueError(f"unknown alpha profile {profile!r} (expected 'sqrt' or 'power')")
-
-
-def alpha_conditions(n: int, ell: float, alpha: float) -> dict:
-    """Evaluate the three admissibility conditions on alpha at this finite n.
-
-    Reported, not enforced: the first and third are asymptotic statements
-    that routinely fail at desk scale.
-    """
-    xi = alpha / (ell * ell)
-    lower = 16.0 * n / math.log(xi) ** 1.5 if xi > 1 else math.inf
-    return {
-        "alpha_lt_n": alpha < n,
-        "xi": xi,
-        "xi_gt_1": xi > 1.0,
-        "lower_bound_16n": lower,
-        "lower_bound_holds": lower < alpha,
-    }
 
 
 def make_schedule(n: int, ell: float, alpha_profile: str = "sqrt") -> Schedule:
@@ -465,53 +446,6 @@ def aggregate_rows(rows: list[dict]) -> list[dict]:
             }
         )
     return out
-
-
-@dataclass(frozen=True)
-class PruneRateReport:
-    window: tuple[int, int]
-    eligible: int
-    conditional_rate: float
-    wilson_low: float
-    wilson_high: float
-    window_size: int
-    unconditional_rate: float
-
-
-def conditional_prune_rate(g, schedule: Schedule) -> PruneRateReport:
-    """Pruning frequency among window vertices that are interior and
-    concentrated, against the unconditional window rate.
-
-    The window is the label range [alpha, n - alpha); raises when it is
-    empty (which the sqrt profile produces at desk scale).
-    """
-    lo, hi = schedule.window_lo, schedule.window_hi
-    if math.ceil(lo) >= hi:
-        raise ValueError(
-            f"empty label window [alpha, n-alpha) = [{lo:.4g}, {hi:.4g})"
-        )
-    stats = all_vertex_stats(g, schedule)
-    kept = np.zeros(g.n, dtype=bool)
-    kept[np.asarray(prune(g).members, dtype=np.int64) - 1] = True
-    pruned = ~kept
-
-    ids = np.arange(1, g.n + 1)
-    in_window = (ids >= lo) & (ids < hi)
-    eligible = in_window & stats.interior & stats.concentrated
-    n_eligible = int(eligible.sum())
-    if n_eligible == 0:
-        raise ValueError("no interior+concentrated vertices in the label window")
-    successes = int(pruned[eligible].sum())
-    wl, wh = wilson_interval(successes, n_eligible)
-    return PruneRateReport(
-        window=(int(math.ceil(lo)), int(math.ceil(hi))),
-        eligible=n_eligible,
-        conditional_rate=successes / n_eligible,
-        wilson_low=wl,
-        wilson_high=wh,
-        window_size=int(in_window.sum()),
-        unconditional_rate=float(pruned[in_window].mean()),
-    )
 
 
 @dataclass(frozen=True)

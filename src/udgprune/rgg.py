@@ -113,6 +113,10 @@ def _check_vertex_count(n: int) -> None:
         raise ValueError(f"{n} points: vertex indices are int32, so n must be below {_MAX_N}")
 
 
+# the largest cell key searched for is ncell * (ncell + 2), with ncell =
+# floor(side) + 1; it fits in int64 exactly when the side is below this
+_MAX_SIDE = math.isqrt(1 << 63) - 1
+
 # an edge code is (i << 32) | j; this mask takes j back out
 _LOW_WORD = (1 << 32) - 1
 
@@ -133,10 +137,13 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None)
     order, and the CSR is filled from ``edges`` in passes too, so no
     transient array grows with the candidate set or the edge count.
 
-    Raises `ValueError` for n >= 2^31, before any array is made: vertex
-    indices are int32.
+    Raises `ValueError` for n >= 2^31 or a side of at least ``_MAX_SIDE``
+    (about 3.04e9), before any array is made: vertex indices are int32,
+    and cell keys are int64.
     """
     _check_vertex_count(len(points))
+    if square.side >= _MAX_SIDE:
+        raise ValueError(f"square side {square.side!r}: cell keys are int64, so the side must be below {_MAX_SIDE}")
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError(f"points must be an (n, 2) array, got shape {points.shape}")

@@ -61,6 +61,17 @@ class TestRunRule2:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 80 and payload["seed"] == 5
 
+    @pytest.mark.parametrize("flag,value", [("--n", "7"), ("--side", "5"), ("--seed", "99")])
+    def test_graph_with_sampling_flag_exits_one(self, graph_file, capsys, flag, value):
+        assert main(["run-rule2", "--graph", str(graph_file), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --graph takes n, side and seed from the file" in captured.err
+
+    def test_side_past_the_key_limit_exits_one(self, capsys):
+        assert main(["run-rule2", "--n", "5", "--side", "1e19", "--seed", "1"]) == 1
+        assert "error: square side 1e+19: cell keys are int64" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_fresh_prune_is_valid(self, graph_file, capsys):
@@ -93,6 +104,12 @@ class TestVerify:
         cds.write_text("1 x")
         assert main(["verify", "--graph", str(graph_file), "--cds", str(cds)]) == 1
         assert f"bad vertex id in {cds}: token 2: 'x'" in capsys.readouterr().err
+
+    def test_side_past_the_key_limit_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "wide.txt"
+        path.write_text("2 1e19 0\n1 1.0 1.0\n2 1.5 1.0\n")
+        assert main(["verify", "--graph", str(path)]) == 1
+        assert "error: square side 1e+19: cell keys are int64" in capsys.readouterr().err
 
     def test_duplicate_vertex_line_exits_one(self, tmp_path, capsys):
         path = tmp_path / "dup.txt"

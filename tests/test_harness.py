@@ -39,26 +39,6 @@ class TestDefaultAlpha:
         with pytest.raises(ValueError):
             hz.default_alpha(100, "geometric")
 
-    def test_condition_report(self):
-        n = 10**4
-        ell = rgg.ell_sqrt(n)
-        alpha = hz.default_alpha(n, "sqrt")
-        report = hz.alpha_conditions(n, ell, alpha)
-        # at desk scale the sqrt profile exceeds n; reported, not enforced
-        assert report["alpha_lt_n"] is False
-        assert report["xi_gt_1"] is True
-        assert report["lower_bound_16n"] == pytest.approx(
-            16.0 * n / math.log(report["xi"]) ** 1.5
-        )
-
-    def test_power_profile_lower_bound_fails_at_desk_scale(self):
-        n = 10**4
-        ell = rgg.ell_power(n, 0.4)
-        alpha = hz.default_alpha(n, "power")
-        report = hz.alpha_conditions(n, ell, alpha)
-        assert report["alpha_lt_n"] is True
-        assert report["lower_bound_holds"] is False
-
 
 class TestSchedule:
     def test_derived_fields(self):
@@ -296,37 +276,6 @@ class TestSweep:
             rule = {"kind": kind, "value": value}
             with pytest.raises(ValueError, match=rf"schedules\[0\]: .*{message}"):
                 hz.SweepConfig.from_dict({"schedules": [dict(entry, ell_rule=rule)]})
-
-
-class TestConditionalPruneRate:
-    def test_empty_window_rejected(self):
-        n = 2000
-        side = rgg.ell_sqrt(n)
-        sq = SquareRegion(side)
-        g = rgg.build_udg(rgg.sample_points(n, sq, seed=3), sq)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sch = _sqrt_schedule(n)  # alpha > n: empty window
-        with pytest.raises(ValueError, match="empty label window"):
-            hz.conditional_prune_rate(g, sch)
-
-    @pytest.fixture(scope="class")
-    @staticmethod
-    def power_run():
-        n = 10**4
-        sch = _power_schedule(n)
-        sq = SquareRegion(sch.ell)
-        g = rgg.build_udg(rgg.sample_points(n, sq, seed=5), sq, seed=5)
-        return g, sch, hz.conditional_prune_rate(g, sch)
-
-    def test_conditioning_does_not_collapse_the_rate(self, power_run):
-        _, _, rep = power_run
-        assert rep.conditional_rate >= rep.unconditional_rate - 0.05
-
-    def test_sample_size_supports_the_interval(self, power_run):
-        _, _, rep = power_run
-        assert rep.eligible >= 1000
-        assert rep.wilson_low <= rep.conditional_rate <= rep.wilson_high
 
 
 class TestConcentrationCheck:

@@ -1,6 +1,7 @@
 """Random point sampling and unit-disk-graph construction."""
 
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -152,6 +153,28 @@ class TestBuildUdg:
         assert len(rgg.build_udg(np.array([[1.0, 1.0], [1.5, 1.0]]), sq).edges) == 1
         with pytest.raises(ValueError, match="must be below 3"):
             rgg.build_udg(np.array([[1.0, 1.0], [1.5, 1.0], [2.0, 1.0]]), sq)
+
+    def test_matches_brute_force_just_below_the_side_limit(self):
+        # the largest key searched for comes within two columns of keys of
+        # 2^63: a quarter-unit lattice over the top 3x3 cells, every point on
+        # a cell edge, plus random points in the same corner, shuffled
+        side = rgg._MAX_SIDE - 0.5
+        ticks = np.arange(math.floor(side) - 2.0, side + 1e-9, 0.25)
+        lattice = np.array([(x, y) for x in ticks for y in ticks])
+        rng = np.random.default_rng(7)
+        pts = np.concatenate([lattice, side - 3.0 * rng.random((200, 2))])
+        pts = pts[rng.permutation(len(pts))]
+        g = rgg.build_udg(pts, SquareRegion(side))
+        assert np.array_equal(g.edges, rgg.brute_force_edges(pts))
+
+    @pytest.mark.parametrize("side", [float(rgg._MAX_SIDE), 5e9, 1e19])
+    def test_side_at_the_key_limit_rejected(self, side):
+        # cell keys are int64: a side from the limit up raises `ValueError`
+        # before any key is made
+        pts = np.array([[side - 0.5, side - 0.5], [side, side]])
+        message = f"square side {side!r}: cell keys are int64, so the side must be below 3037000498"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rgg.build_udg(pts, SquareRegion(side))
 
     def test_traced_peak_stays_small(self):
         # the paper's regime at n = 16000 (mean degree ~30, m ~ 240k): the
