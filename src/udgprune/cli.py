@@ -192,9 +192,9 @@ def _cmd_run_rule2(args) -> int:
         "side": res.side,
         "seed": res.seed,
         "cds_size": res.cds_size,
-        "pruned": res.pruned,
-        "dominating": res.dominating,
-        "component_preserving": res.component_preserving,
+        "pruned": res.n - res.cds_size,
+        "dominating": res.report.dominating,
+        "component_preserving": res.report.component_preserving,
         "millis": round(res.runtime_ms, 3) if args.emit_timings else 0,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)

@@ -42,7 +42,6 @@ __all__ = [
     "sector_of",
     "extreme_points",
     "mc_area_oracle",
-    "disk_membership",
     "region_membership",
 ]
 
@@ -77,7 +76,6 @@ class AreaEstimate:
 
     value: float
     std_error: float = 0.0
-    samples: int = 0
 
 
 @dataclass(frozen=True)
@@ -390,11 +388,6 @@ def truncated_disk_area(o, square: SquareRegion) -> float:
     return _disk_rect_area(o, 0.0, 0.0, square.side, square.side)
 
 
-def disk_membership(center) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Vectorized membership predicate for the closed unit disk."""
-    return region_membership((center,), ())
-
-
 def region_membership(inside, outside) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Vectorized predicate of the region `_region_area(inside, outside)`
     measures: the points in every closed unit disk about ``inside`` and in
@@ -447,7 +440,6 @@ def mc_area_oracle(
     return AreaEstimate(
         value=p * box,
         std_error=box * math.sqrt(p * (1.0 - p) / samples),
-        samples=samples,
     )
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import SquareRegion, truncated_disk_area
-from .rgg import _check_vertex_count, build_udg, components, ell_power, ell_sqrt, sample_points
-from .rule2 import prune, verify_cds
+from .rgg import _check_side, _check_vertex_count, build_udg, components, ell_power, ell_sqrt, sample_points
+from .rule2 import CdsReport, prune, verify_cds
 from .util import csv_text, derived_seed
 
 __all__ = [
@@ -72,19 +72,16 @@ CSV_COLUMNS = [
 class Schedule:
     """A finite-n instance of the asymptotic parameter schedule.
 
-    ``alpha`` is the label-window cut, ``xi = alpha / ell^2`` the crowding
-    ratio, ``margin = 1 / (ln xi)^{3/2}`` the boundary margin used by the
-    interior event, and [window_lo, window_hi) the label window that
-    `concentration_check` reads.
+    ``alpha`` is the label-window cut: `concentration_check` reads the
+    window [alpha, n - alpha).  ``margin = 1 / (ln xi)^{3/2}``, with
+    ``xi = alpha / ell^2`` the crowding ratio, is the boundary margin used
+    by the interior event.
     """
 
     n: int
     ell: float
     alpha: float
-    xi: float = field(init=False)
     margin: float = field(init=False)
-    window_lo: float = field(init=False)
-    window_hi: float = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -98,20 +95,11 @@ class Schedule:
                 "undefined (the 'power' alpha profile with ell = sqrt(n / ln n) "
                 "gives alpha = ell^2; pair it with ell_power(n, t), t < 1/2)"
             )
-        object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "margin", 1.0 / math.log(xi) ** 1.5)
-        object.__setattr__(self, "window_lo", self.alpha)
-        object.__setattr__(self, "window_hi", self.n - self.alpha)
         if self.n > 1 and self.ell < math.log(self.n):
             warnings.warn(
                 f"ell={self.ell:.4g} below ln n={math.log(self.n):.4g}: outside the "
                 "regime the analysis assumes",
-                stacklevel=2,
-            )
-        if self.alpha >= self.n:
-            warnings.warn(
-                f"alpha={self.alpha:.4g} >= n={self.n}: the label window is empty at "
-                "this size (expected at desk scale for the sqrt profile)",
                 stacklevel=2,
             )
 
@@ -254,22 +242,16 @@ def vertex_stats(g, i: int, schedule: Schedule) -> VertexStats:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Outcome of one full pipeline run.  ``runtime_ms`` is measured wall
-    time and excluded from equality so identical seeds compare equal."""
+    """Outcome of one full pipeline run: the CDS size and its
+    `verify_cds` report.  ``runtime_ms`` is measured wall time and
+    excluded from equality so identical seeds compare equal."""
 
     n: int
     side: float
     seed: int
     cds_size: int
-    pruned: int
-    components_graph: int
-    components_induced: int
-    dominating: bool
+    report: CdsReport
     runtime_ms: float = field(compare=False, default=0.0)
-
-    @property
-    def component_preserving(self) -> bool:
-        return self.components_graph == self.components_induced
 
 
 def graph_trial(g, started: float | None = None) -> TrialResult:
@@ -280,16 +262,12 @@ def graph_trial(g, started: float | None = None) -> TrialResult:
     if started is None:
         started = time.perf_counter()
     cds = prune(g)
-    report = verify_cds(g, cds)
     return TrialResult(
         n=g.n,
         side=g.square.side,
         seed=g.seed if g.seed is not None else 0,
         cds_size=cds.size,
-        pruned=g.n - cds.size,
-        components_graph=report.components_graph,
-        components_induced=report.components_induced,
-        dominating=report.dominating,
+        report=verify_cds(g, cds),
         runtime_ms=(time.perf_counter() - started) * 1000.0,
     )
 
@@ -352,7 +330,9 @@ class SweepConfig:
         ``ell_rule`` is an error.  n, trials and seed must be JSON integers
         (n >= 2, the others >= 0), ``value`` a JSON number, and the side it
         gives positive and finite.  n must also be below 2^31, the int32
-        index limit of the graph, so no trial allocates beyond it."""
+        index limit of the graph, and the side below ``rgg._MAX_SIDE``, the
+        int64 cell-key limit, so no trial draws points that `build_udg`
+        rejects."""
         if not isinstance(data, dict) or not isinstance(data.get("schedules"), list):
             raise ValueError("sweep config must be an object with a 'schedules' list of objects")
         specs = []
@@ -372,7 +352,8 @@ class SweepConfig:
                     trials=_json_int(entry, "trials", 0),
                     seed=_json_int(entry, "seed", 0),
                 )
-                SquareRegion(spec.side())  # rejects a side that is not positive and finite
+                # rejects a side that is not positive and finite, or past the cell-key limit
+                _check_side(SquareRegion(spec.side()).side)
             except (KeyError, ValueError, ArithmeticError) as exc:
                 raise ValueError(f"sweep config schedules[{pos}]: {exc}") from exc
             specs.append(spec)
@@ -399,6 +380,7 @@ def sweep(config: SweepConfig, parallel: int = 1, emit_timings: bool = False) ->
     rows = []
     for res, (_, trial) in zip(results, plan):
         ell2 = res.side * res.side
+        pruned = res.n - res.cds_size
         rows.append(
             {
                 "schema_ver": CSV_SCHEMA_VERSION,
@@ -407,11 +389,11 @@ def sweep(config: SweepConfig, parallel: int = 1, emit_timings: bool = False) ->
                 "seed": res.seed,
                 "trial": trial,
                 "cds_size": res.cds_size,
-                "U": res.pruned,
-                "frac_pruned": res.pruned / res.n,
-                "comp_g": res.components_graph,
-                "comp_c": res.components_induced,
-                "dominating": res.dominating,
+                "U": pruned,
+                "frac_pruned": pruned / res.n,
+                "comp_g": res.report.components_graph,
+                "comp_c": res.report.components_induced,
+                "dominating": res.report.dominating,
                 "cds_over_ell2": res.cds_size / ell2,
                 "ge_ell2_over_4": res.cds_size >= ell2 / 4.0,
                 "millis": round(res.runtime_ms, 3) if emit_timings else 0,
@@ -471,8 +453,8 @@ def concentration_check(g, schedule: Schedule) -> ConcentrationReport:
     with np.errstate(divide="ignore"):
         bound = 1.0 - 16.0 * ell2 / (g.n - ids) - 16.0 * ell2 / (ids - 1.0)
     eligible = (
-        (ids >= schedule.window_lo)
-        & (ids < schedule.window_hi)
+        (ids >= schedule.alpha)
+        & (ids < schedule.n - schedule.alpha)
         & stats.interior
         & (bound > 0.0)
     )

@@ -52,7 +52,8 @@ class ColoredSample:
     about ``center``, with the sector frame used to read core statistics.
 
     ``core`` holds the indices, in increasing order, of the blue points
-    within ``frame.delta`` of the center.
+    within ``frame.delta`` of the center, decided by the float expression
+    `sector_of` uses, so it labels every core point but the center.
     """
 
     center: Point2D
@@ -65,7 +66,7 @@ class ColoredSample:
     def __post_init__(self):
         c = self.frame.center
         d2 = _sq_dist(self.blue[:, 0] - c[0], self.blue[:, 1] - c[1])
-        object.__setattr__(self, "core", np.flatnonzero(d2 <= self.frame.delta**2))
+        object.__setattr__(self, "core", np.flatnonzero(d2 <= self.frame.delta * self.frame.delta))
 
     @property
     def w(self) -> int:
@@ -78,19 +79,15 @@ class ColoredSample:
 
 @dataclass(frozen=True)
 class SectorStats:
-    """Blue-point counts per sector of the core disk.
+    """Sector statistics of the blue points in the core disk.
 
     ``tau`` counts sector indices whose Q- and R-sides each hold exactly
-    one blue point; ``matched`` lists those indices and ``first_match``
-    is their minimum (-1 when there are none).  ``first_pair`` holds the
-    blue indices of the (Q, first_match) and (R, first_match) points
-    (None when there is no match).  ``core_blue`` is the number of blue
-    points in the core disk.
+    one blue point, and ``first_match`` is the least of them (-1 when
+    there are none).  ``first_pair`` holds the blue indices of the
+    (Q, first_match) and (R, first_match) points (None when there is no
+    match).  ``core_blue`` is the number of blue points in the core disk.
     """
 
-    counts_q: np.ndarray
-    counts_r: np.ndarray
-    matched: tuple[int, ...]
     tau: int
     first_match: int
     first_pair: Optional[tuple[int, int]]
@@ -169,36 +166,25 @@ def sample_colored(center, square: SquareRegion, w: int, b: int, seed: int) -> C
 
 
 def sector_stats(sample: ColoredSample) -> SectorStats:
-    """Classify the blue core points by sector and collect the counts."""
+    """Label each blue core point by sector and find the matched sectors."""
     frame = sample.frame
-    L = frame.count
-    counts_q = np.zeros(L, dtype=np.int64)
-    counts_r = np.zeros(L, dtype=np.int64)
-    last = {}  # label -> latest blue index, the only one where the count is 1
-    core_blue = 0
+    only = {}  # label -> its blue index while it holds one core point, -1 after
     cx, cy = frame.center
     for j in sample.core:
         p = sample.blue[j]
         if p[0] == cx and p[1] == cy:
-            core_blue += 1  # dead center belongs to no sector
-            continue
+            continue  # dead center belongs to no sector
         label = sector_of(frame, p)
-        if label is None:
-            continue
-        core_blue += 1
-        family, idx = label
-        (counts_q if family == "Q" else counts_r)[idx] += 1
-        last[label] = j
-    matched = tuple(int(i) for i in np.flatnonzero((counts_q == 1) & (counts_r == 1)))
-    first_match = matched[0] if matched else -1
+        only[label] = -1 if label in only else int(j)
+    matched = [
+        i for (family, i), j in only.items() if family == "Q" and min(j, only.get(("R", i), -1)) >= 0
+    ]
+    first_match = min(matched, default=-1)
     return SectorStats(
-        counts_q=counts_q,
-        counts_r=counts_r,
-        matched=matched,
         tau=len(matched),
         first_match=first_match,
-        first_pair=(int(last["Q", first_match]), int(last["R", first_match])) if matched else None,
-        core_blue=core_blue,
+        first_pair=(only["Q", first_match], only["R", first_match]) if matched else None,
+        core_blue=len(sample.core),
     )
 
 

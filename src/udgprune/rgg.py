@@ -51,12 +51,14 @@ def ell_power(n: int, t: float) -> float:
 def sample_points(n: int, square: SquareRegion, seed: int) -> np.ndarray:
     """Draw ``n`` i.i.d. uniform points in the square; row j is vertex j+1.
 
-    Deterministic given the seed.  Raises `ValueError` for n >= 2^31
-    before drawing anything, as `build_udg` would reject the points.
+    Deterministic given the seed.  Raises `ValueError` for n >= 2^31 or
+    a side of at least ``_MAX_SIDE`` before drawing anything, as
+    `build_udg` would reject the points.
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
     _check_vertex_count(n)
+    _check_side(square.side)
     rng = np.random.default_rng(seed)
     return rng.random((n, 2)) * square.side
 
@@ -91,9 +93,6 @@ class UnitDiskGraph:
             raise ValueError(f"vertex id {vid} out of range 1..{self.n}")
         return self.nbr_flat[self.nbr_offsets[vid - 1] : self.nbr_offsets[vid]]
 
-    def degree(self, vid: int) -> int:
-        return len(self.neighbors(vid))
-
     def closed_neighborhood(self, vid: int) -> np.ndarray:
         """Sorted IDs of ``vid`` and everything adjacent to it."""
         return np.sort(np.append(self.neighbors(vid), vid))
@@ -116,6 +115,13 @@ def _check_vertex_count(n: int) -> None:
 # the largest cell key searched for is ncell * (ncell + 2), with ncell =
 # floor(side) + 1; it fits in int64 exactly when the side is below this
 _MAX_SIDE = math.isqrt(1 << 63) - 1
+
+
+def _check_side(side: float) -> None:
+    """Raise `ValueError` unless side < ``_MAX_SIDE``, the int64 cell-key limit."""
+    if side >= _MAX_SIDE:
+        raise ValueError(f"square side {side!r}: cell keys are int64, so the side must be below {_MAX_SIDE}")
+
 
 # an edge code is (i << 32) | j; this mask takes j back out
 _LOW_WORD = (1 << 32) - 1
@@ -142,8 +148,7 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None)
     and cell keys are int64.
     """
     _check_vertex_count(len(points))
-    if square.side >= _MAX_SIDE:
-        raise ValueError(f"square side {square.side!r}: cell keys are int64, so the side must be below {_MAX_SIDE}")
+    _check_side(square.side)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError(f"points must be an (n, 2) array, got shape {points.shape}")
@@ -154,8 +159,9 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None)
 
     n = len(points)
     ncell = int(math.floor(square.side)) + 1
-    cx = np.clip(np.floor(points[:, 0]).astype(np.int64), 0, ncell - 1)
-    cy = np.clip(np.floor(points[:, 1]).astype(np.int64), 0, ncell - 1)
+    # a point in the square has floor(x) <= floor(side) = ncell - 1
+    cx = np.floor(points[:, 0]).astype(np.int64)
+    cy = np.floor(points[:, 1]).astype(np.int64)
     # column stride ncell + 1 leaves an empty key above each column's top
     # cell, so a run of keys never reaches a cell that is not a neighbour
     stride = ncell + 1

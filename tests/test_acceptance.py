@@ -16,7 +16,6 @@ and its mechanism is validated at a small size instead.
 import json
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -57,16 +56,15 @@ def test_c01_geometry_matches_oracle():
 
     for k in range(50):
         d = float(rng.uniform(0.0, 2.2))
-        mo, mq = geo.disk_membership((0.0, 0.0)), geo.disk_membership((d, 0.0))
-        check(geo.lens_area(d), lambda xs, ys: mo(xs, ys) & mq(xs, ys), (-1.0, 1.0 + d, -1.0, 1.0), 1, k)
+        member = geo.region_membership(((0.0, 0.0), (d, 0.0)), ())
+        check(geo.lens_area(d), member, (-1.0, 1.0 + d, -1.0, 1.0), 1, k)
     for k in range(50):
         o = rng.uniform(0.0, 1.0, 2)
         q = o + rng.uniform(-1.2, 1.2, 2)
         u = o + rng.uniform(-1.2, 1.2, 2)
-        mo, mq, mu = map(geo.disk_membership, (o, q, u))
         check(
             geo.triple_disk_intersection_area(o, q, u),
-            lambda xs, ys: mo(xs, ys) & mq(xs, ys) & mu(xs, ys),
+            geo.region_membership((o, q, u), ()),
             (o[0] - 1, o[0] + 1, o[1] - 1, o[1] + 1),
             2,
             k,
@@ -75,10 +73,9 @@ def test_c01_geometry_matches_oracle():
         side = float(rng.uniform(2.0, 6.0))
         sq = SquareRegion(side)
         o = rng.uniform(0.0, side, 2)
-        mo = geo.disk_membership(o)
         check(
             geo.truncated_disk_area(o, sq),
-            mo,
+            geo.region_membership((o,), ()),
             (max(0, o[0] - 1), min(side, o[0] + 1), max(0, o[1] - 1), min(side, o[1] + 1)),
             3,
             k,
@@ -87,10 +84,9 @@ def test_c01_geometry_matches_oracle():
         o = rng.uniform(0.0, 1.0, 2)
         q = o + rng.uniform(-1.0, 1.0, 2)
         u = o + rng.uniform(-1.0, 1.0, 2)
-        mo, mq, mu = map(geo.disk_membership, (o, q, u))
         check(
             geo.omitted_area(o, q, u),
-            lambda xs, ys: mo(xs, ys) & ~mq(xs, ys) & ~mu(xs, ys),
+            geo.region_membership((o,), (q, u)),
             (o[0] - 1, o[0] + 1, o[1] - 1, o[1] + 1),
             4,
             k,
@@ -385,9 +381,7 @@ def test_c10_event_frequencies():
     n = 5000
     side = rgg.ell_sqrt(n)
     sq = SquareRegion(side)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sch = hz.make_schedule(n, side, "sqrt")
+    sch = hz.make_schedule(n, side, "sqrt")
     g = rgg.build_udg(rgg.sample_points(n, sq, seed=derived_seed(MASTER, 100)), sq)
     stats = hz.all_vertex_stats(g, sch)
     p = max(0.0, side - 2 * sch.margin) ** 2 / side**2

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ import pytest
 from udgprune import geometry, rgg
 from udgprune.cli import main
 from udgprune.geometry import SquareRegion
+
+DATA = Path(__file__).parent / "data"
+GOLDEN_GRAPH = str(DATA / "golden_graph.txt")
 
 
 @pytest.fixture()
@@ -32,6 +36,31 @@ def test_unknown_subcommand_exits_one(capsys):
 def test_missing_config_exits_one(capsys):
     assert main(["sweep", "--config", "does-not-exist.json"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Each invocation's --out file and standard output, as committed under
+# data/cli.  sweep and geom-check are left out: their floats pass through
+# libm log, acos and atan2, whose last bit may differ between machines.
+GOLDEN_RUNS = [
+    (["run-rule2", "--n", "4000", "--side", "30", "--seed", "11"], "run_rule2_sampled.json", None),
+    (["run-rule2", "--graph", GOLDEN_GRAPH], "run_rule2_graph.json", None),
+    (["verify", "--graph", GOLDEN_GRAPH], "verify_graph.json", None),
+    (
+        ["local-coverage", "--b", "1000", "--w", "1000", "--ox", "5", "--oy", "5",
+         "--side", "10", "--trials", "20", "--seed", "2"],
+        "local_coverage.csv",
+        "local_coverage_summary.json",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,out_golden,stdout_golden", GOLDEN_RUNS, ids=[run[1] for run in GOLDEN_RUNS])
+def test_output_bytes_match_the_goldens(tmp_path, capsys, argv, out_golden, stdout_golden):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "cli" / out_golden).read_bytes()
+    expected = (DATA / "cli" / stdout_golden).read_bytes() if stdout_golden else b""
+    assert capsys.readouterr().out.encode() == expected
 
 
 def test_run_rule2_needs_inputs(capsys):

@@ -172,7 +172,6 @@ class TestSectorStats:
         s = _fixture_sample(blue=[[5.9, 5.0], [5.0, 4.2]])
         st = lc.sector_stats(s)
         assert st.tau == 0 and st.first_match == -1 and st.core_blue == 0
-        assert st.matched == ()
 
     def test_hand_placed_matched_pair(self):
         frame = SectorFrame(Point2D(5.0, 5.0), 1000)
@@ -184,9 +183,8 @@ class TestSectorStats:
             [5.0, 4.3],
         ]
         st = lc.sector_stats(_fixture_sample(blue))
-        assert st.tau == 1 and st.matched == (3,) and st.first_match == 3
+        assert st.tau == 1 and st.first_match == 3 and st.first_pair == (0, 1)
         assert st.core_blue == 2
-        assert st.counts_q[3] == 1 and st.counts_r[3] == 1
 
     def test_first_pair_comes_from_one_labelling_pass(self, monkeypatch):
         calls = []
@@ -214,10 +212,29 @@ class TestSectorStats:
         assert matched > 0  # x_b_indicator got past its no-match exit
 
     def test_partition_accounts_for_every_core_blue(self):
-        for seed in range(50):
-            s = lc.sample_colored(CENTER, SQUARE, w=0, b=2000, seed=seed)
-            st = lc.sector_stats(s)
-            assert st.counts_q.sum() + st.counts_r.sum() == st.core_blue
+        # b = 2 borrows the b = 3 frame; the fixture holds the exact centre
+        samples = [lc.sample_colored(CENTER, SQUARE, w=0, b=b, seed=seed) for b in (2, 2000) for seed in range(25)]
+        samples.append(_fixture_sample([[5.0, 5.0], [5.0, 5.0 + 1e-4]]))
+        labelled = 0
+        for s in samples:
+            assert lc.sector_stats(s).core_blue == len(s.core)
+            for p in s.blue[s.core]:
+                if tuple(p) != CENTER:
+                    assert sector_of(s.frame, p) is not None
+                    labelled += 1
+        assert labelled > 0
+
+    def test_core_radius_is_the_one_sector_of_uses(self):
+        # delta**2 and delta * delta differ in the last bit at these b: the
+        # first point is within delta * delta only, the second within delta**2
+        for b, p, label in [
+            (351, (5.024188470856246, 5.000000005787812), ("Q", 0)),
+            (6239, (5.006216143676209, 5.000000002011059), None),
+        ]:
+            s = _fixture_sample([p], b_param=b)
+            assert sector_of(s.frame, p) == label
+            assert list(s.core) == ([0] if label else [])
+            assert lc.sector_stats(s).core_blue == len(s.core)
 
     def test_tau_bounded_by_count_and_half_core(self):
         for seed in range(50):
