@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import SquareRegion, truncated_disk_area
-from .rgg import _check_side, _check_vertex_count, build_udg, components, ell_power, ell_sqrt, sample_points
+from .rgg import _check_side, _check_vertex_count, _lower_counts, build_udg, components, ell_power, ell_sqrt, sample_points
 from .rule2 import CdsReport, prune, verify_cds
 from .util import csv_text, derived_seed
 
@@ -181,9 +181,8 @@ def all_vertex_stats(g, schedule: Schedule) -> VertexStatsArrays:
     """`VertexStats` columns for all vertices (one pass over the graph)."""
     n = g.n
     ids = np.arange(1, n + 1)
-    # each edge (i, j) has i < j: j is a higher neighbour of i
-    higher = np.bincount(g.edges[:, 0], minlength=n).astype(np.int64, copy=False)
-    lower = np.bincount(g.edges[:, 1], minlength=n).astype(np.int64, copy=False)
+    lower = _lower_counts(g)
+    higher = np.diff(g.nbr_offsets) - lower
     side = g.square.side
     xs, ys = g.points[:, 0], g.points[:, 1]
     # at distance >= 1 from every side truncated_disk_area is exactly pi

@@ -261,6 +261,17 @@ def components(g: UnitDiskGraph) -> tuple[int, np.ndarray]:
     return _component_labels(g.n, g.edges)
 
 
+def _lower_counts(g: UnitDiskGraph) -> np.ndarray:
+    """Each vertex's neighbours with a lower ID, counted from ``edges`` in
+    passes of ``max(n, _JOIN_BLOCK)`` edges: `np.bincount` casts its input
+    to an intp copy, which for the whole column costs 8 bytes per edge."""
+    low = np.zeros(g.n, dtype=np.intp)
+    step = max(g.n, _JOIN_BLOCK)
+    for s in range(0, len(g.edges), step):
+        low += np.bincount(g.edges[s : s + step, 1], minlength=g.n)
+    return low
+
+
 def _component_labels(n: int, edges: np.ndarray) -> tuple[int, np.ndarray]:
     """Union-find over ``edges`` (an (m, 2) array of index pairs) on n
     vertices, in passes of ``max(n, _JOIN_BLOCK)`` edges: each pass costs

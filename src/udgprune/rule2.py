@@ -7,14 +7,16 @@ is one-shot, never re-applied to the pruned graph), so `prune` decides
 all vertices together as array operations.  It takes its candidates in
 degree order, so the vertices of one block have rows of nearly equal
 width, gathers each block's closed neighbourhoods with one padded index
-pass, and decides the block in two phases.  First, each vertex with
-enough higher neighbours tries witness pairs, as in the paper's argument:
-its nearest higher neighbour a and the higher neighbour adjacent to a on
-the opposed side of i, and, if those miss a member, a and the partner of
-a nearest the member farthest from a.  Then each remaining vertex gets,
-for each higher-ID neighbour a, a bit mask over N[i] of the members a
-does not cover, and it is excluded when two adjacent such neighbours have
-masks with no common bit.  A witness pair costs a few passes over a row
+pass, and decides them in two loops, each with its own block size.
+First, each vertex with enough higher neighbours tries witness pairs, as
+in the paper's argument: its nearest higher neighbour a and the higher
+neighbour adjacent to a on the opposed side of i, and, if those miss a
+member, a and the partner of a nearest the member farthest from a.  Then
+each vertex left gets, for each higher-ID neighbour a, a bit mask over
+N[i] of the members a does not cover, and it is excluded when two
+adjacent such neighbours have masks with no common bit; the partners of
+a are enumerated among the higher neighbours after it, which are
+consecutive in i's row.  A witness pair costs a few passes over a row
 where the masks cost one per higher neighbour, so only vertices with at
 least ``_WITNESS_MIN_UP`` higher neighbours try them.  The retained
 vertices ("gateways") form a dominating set that preserves the host
@@ -24,7 +26,9 @@ graph's component count.
 over closed-neighbourhood sets, and `verify_cds` counts induced components
 over all n vertices.  Rows of 2-D arrays are gathered with `np.take` and
 `np.compress` along axis 0, because ``a[idx]`` and ``a[mask]`` on narrow
-rows measured about 10 times slower on numpy 2.4.6.
+rows measured about 10 times slower on numpy 2.4.6, and single cells with
+`np.take` on flat indices row * width + column, which measured about
+twice as fast as ``a[rows, cols]``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import _sq_dist
-from .rgg import UnitDiskGraph, _component_labels, components
+from .rgg import UnitDiskGraph, _component_labels, _lower_counts, components
 
 __all__ = [
     "GatewaySet",
@@ -107,19 +111,22 @@ def _witness(closed, i: int) -> Optional[tuple[int, int]]:
     return None
 
 
-# (up-pair, neighbourhood slot) cells per block of `prune`; its blocks hold
-# candidates of nearly equal degree, so every transient array of a block,
-# padding included, is a small multiple of this
-_BLOCK_CELLS = 1 << 17
+# (row, slot) cells per block of `prune`'s witness loop, and (up-pair,
+# slot) cells per block of its mask loop: its blocks hold candidates of
+# nearly equal degree, so every transient array of a block, padding
+# included, is a small multiple of these
+_WITNESS_CELLS = 1 << 15
+_MASK_CELLS = 1 << 16
 
-# fewest higher neighbours for which `_covered` tries the witness pairs
-# first: the tries cost a few passes over a row of width deg+1, and the miss
-# masks they may save cost one such pass per higher neighbour, so below this
-# the tries cost more than they save.  Their temporaries hold one row per
-# vertex, fewer than the masks' one row per up-pair, so they stay within
-# ``_BLOCK_CELLS``.  Measured on sqrt-side graphs (seed 12345, medians of
-# alternating repeats) against 6: a cut-off of 4 took 3.7% longer at
-# n = 16000 and 2.1% longer at 256000, and 8 took 1.2% less and 6.9% more.
+# fewest higher neighbours for which `prune` tries the witness pairs first:
+# the tries cost a few passes over a row of width deg+1, and the miss masks
+# they may save cost one such pass per higher neighbour, so below this the
+# tries cost more than they save.  Measured with the two loops on sqrt-side
+# graphs (medians of alternating pairs against 6, 40 pairs at n = 16000 and
+# 10 at 256000): 4 took 0.7% less at 16000 (faster in 11 of 40 pairs) and
+# 3.9% more at 256000 (seed 12345); 8 took 1.0% and 2.9% less at 16000
+# (seeds 12345 and 7) but 0.2% and 3.3% more at 256000, so neither wins at
+# both sizes.
 _WITNESS_MIN_UP = 6
 
 
@@ -127,38 +134,41 @@ def prune(g: UnitDiskGraph) -> GatewaySet:
     """All vertices not excluded by the rule, in ascending ID order.
 
     The candidates (vertices with at least two higher neighbours) are
-    taken in ascending degree order, by a stable sort, and cut into blocks
-    of about ``_BLOCK_CELLS`` (up-pair, slot) cells, so memory stays
-    bounded at any degree.  The rows of a block then have nearly equal
-    width, so little of a block is padding.  Each block gathers its rows
-    of N[i] = [i] + nbr(i) in one pass (`_closed_rows`) and runs two
-    phases over them.
+    taken in ascending degree order, by a stable sort, and decided by two
+    loops, each over blocks cut by `_blocks`, so memory stays bounded at
+    any degree.  The rows of a block have nearly equal width, so little of
+    a block is padding.  Each block gathers its rows of N[i] = [i] + nbr(i)
+    in one pass (`_closed_rows`).
 
-    1. Witness pairs, for vertices with at least ``_WITNESS_MIN_UP``
-       higher neighbours: a is the nearest higher neighbour of i, and b
-       the higher neighbour adjacent to a that lies nearest to
-       2 p_i - p_a, the reflection of a through i, so a and b sit on
-       opposed sides as in the paper's argument.  i is excluded if D_a and
-       D_b together cover N[i].  Where they do not, a second try takes
-       the member x of N[i] farthest from a, and the partner b' of a
-       nearest to x, and excludes i if D_a and D_b' cover N[i].  These
-       settle most excluded vertices at a few passes per row.
-    2. Miss masks, for the vertices phase 1 skipped or did not exclude:
-       each up-pair (i, a), with a a neighbour of i and a > i, gets a mask
-       over N[i] with a bit for each member that a does not cover, packed
-       into ceil(|N[i]| / 64) uint64 words.  The partners b of a are the
-       members above a that a covers, which are exactly the higher
-       neighbours of i adjacent to a; i is excluded when some partner has
-       ``miss_a & miss_b == 0``.
+    1. Witness pairs, in blocks of about ``_WITNESS_CELLS`` (row, slot)
+       cells, over the candidates with at least ``_WITNESS_MIN_UP`` higher
+       neighbours only: a is the nearest higher neighbour of i, and b the
+       higher neighbour adjacent to a that lies nearest to 2 p_i - p_a,
+       the reflection of a through i, so a and b sit on opposed sides as
+       in the paper's argument.  i is excluded if D_a and D_b together
+       cover N[i].  Where they do not, a second try takes the member x of
+       N[i] farthest from a, and the partner b' of a nearest to x, and
+       excludes i if D_a and D_b' cover N[i].  These settle most excluded
+       vertices at a few passes per row.
+    2. Miss masks, in blocks of about ``_MASK_CELLS`` (up-pair, slot)
+       cells, over the candidates loop 1 skipped or did not exclude: each
+       up-pair (i, a), with a a neighbour of i and a > i, gets a mask over
+       N[i] with a bit for each member that a does not cover, packed into
+       ceil(|N[i]| / 64) uint64 words.  The partners b of a are the higher
+       neighbours of i above a that a covers; they are among the later
+       up-pairs of i's row, which are consecutive, and i is excluded when
+       some partner has ``miss_a & miss_b == 0``.
 
-    Phase 1 only picks which pairs to test first and excludes only on an
+    Loop 1 only picks which pairs to test first and excludes only on an
     exact coverage test of an adjacent higher pair, and each vertex is
     decided alone, so neither the order nor the blocks change the kept
-    set: it is the one phase 2 alone gives.
+    set: it is the one loop 2 alone gives.  Single cells of a 2-D array
+    are read with `np.take` on flat indices row * width + column, which
+    measured about twice as fast as ``a[rows, cols]``.
     """
     n = g.n
     deg = np.diff(g.nbr_offsets)
-    low = np.bincount(g.edges[:, 1], minlength=n)  # neighbours below each vertex
+    low = _lower_counts(g)
     up = deg - low
     excluded = np.zeros(n, dtype=bool)
     # slot n of each coordinate column is the NaN that pads the rows
@@ -167,24 +177,25 @@ def prune(g: UnitDiskGraph) -> GatewaySet:
     # a covering pair needs two higher-ID neighbours
     cand = np.flatnonzero(up >= 2)
     cand = cand[np.argsort(deg[cand], kind="stable")]
-    cost = up[cand] * (deg[cand] + 1)
-    block = (np.cumsum(cost) - cost) // _BLOCK_CELLS
-    for verts in np.split(cand, np.flatnonzero(np.diff(block)) + 1):
-        if len(verts):
-            xs, ys = _closed_rows(g, px, py, verts, deg[verts])
-            excluded[verts[_covered(xs, ys, low[verts], up[verts])]] = True
+    first = cand[up[cand] >= _WITNESS_MIN_UP]
+    for verts in _blocks(first, deg[first] + 1, _WITNESS_CELLS):
+        xs, ys = _closed_rows(g, px, py, verts, deg[verts])
+        excluded[verts[_witness_covers(xs, ys, low[verts])]] = True
+    rest = cand[~excluded[cand]]
+    for verts in _blocks(rest, up[rest] * (deg[rest] + 1), _MASK_CELLS):
+        xs, ys = _closed_rows(g, px, py, verts, deg[verts])
+        excluded[verts[_masks_cover(xs, ys, low[verts], up[verts])]] = True
     return GatewaySet(members=tuple((np.flatnonzero(~excluded) + 1).tolist()))
 
 
-def _covered(xs, ys, low, up) -> np.ndarray:
-    """Mask over the rows of `_closed_rows` of the vertices that some
-    adjacent pair of their higher neighbours covers."""
-    covered = np.zeros(len(xs), dtype=bool)
-    first = np.flatnonzero(up >= _WITNESS_MIN_UP)
-    covered[first] = _witness_covers(np.take(xs, first, axis=0), np.take(ys, first, axis=0), low[first])
-    rest = np.flatnonzero(~covered)
-    covered[rest] = _masks_cover(xs, ys, rest, low[rest], up[rest])
-    return covered
+def _blocks(verts, cost, cells) -> list[np.ndarray]:
+    """``verts`` cut into consecutive runs, a new run starting at each
+    multiple of ``cells`` in the running sum of ``cost``: a run costs less
+    than ``cells`` plus the cost of its last vertex."""
+    if not len(verts):
+        return []
+    block = (np.cumsum(cost) - cost) // cells
+    return np.split(verts, np.flatnonzero(np.diff(block)) + 1)
 
 
 def _closed_rows(g: UnitDiskGraph, px, py, verts, deg) -> tuple[np.ndarray, np.ndarray]:
@@ -201,21 +212,22 @@ def _closed_rows(g: UnitDiskGraph, px, py, verts, deg) -> tuple[np.ndarray, np.n
     ids -= 1
     ids[:, 0] = verts
     ids[slot > deg[:, None]] = g.n
-    return px[ids], py[ids]
+    return np.take(px, ids), np.take(py, ids)
 
 
 def _witness_covers(xs, ys, low) -> np.ndarray:
-    """Phase 1 of `prune` on rows from `_closed_rows`: mask of the rows
+    """Loop 1 of `prune` on rows from `_closed_rows`: mask of the rows
     whose first witness pair (a, b) or second pair (a, b') covers N[i]."""
-    rows = np.arange(len(xs))
+    width = xs.shape[1]
     # every real member of N[i] is within 1 of i, and padding is NaN
-    higher = np.arange(xs.shape[1]) > low[:, None]
+    higher = np.arange(width) > low[:, None]
     di = _sq_dist(xs - xs[:, :1], ys - ys[:, :1])
     higher &= di <= 1.0
     a = np.where(higher, di, np.inf).argmin(axis=1)
-    da = _sq_dist(xs - xs[rows, a][:, None], ys - ys[rows, a][:, None])
+    a += np.arange(0, len(xs) * width, width)  # flat index of a
+    da = _sq_dist(xs - np.take(xs, a)[:, None], ys - np.take(ys, a)[:, None])
     partner = higher & (da <= 1.0)
-    partner[rows, a] = False
+    np.put(partner, a, False)
 
     # |p - (2 p_i - p_a)|^2 = 2 |p - p_i|^2 - |p - p_a|^2 + const per row
     di *= 2.0
@@ -224,9 +236,9 @@ def _witness_covers(xs, ys, low) -> np.ndarray:
     left = np.flatnonzero(~covered)
     xs, ys = np.take(xs, left, axis=0), np.take(ys, left, axis=0)
     da = np.fmax(np.take(da, left, axis=0), -1.0)  # padding at -1, below every real member
-    rows = np.arange(len(left))
     far = da.argmax(axis=1)
-    dfar = _sq_dist(xs - xs[rows, far][:, None], ys - ys[rows, far][:, None])
+    far += np.arange(0, len(left) * width, width)
+    dfar = _sq_dist(xs - np.take(xs, far)[:, None], ys - np.take(ys, far)[:, None])
     covered[left] = _pair_covers(xs, ys, da, np.take(partner, left, axis=0), dfar)
     return covered
 
@@ -234,42 +246,46 @@ def _witness_covers(xs, ys, low) -> np.ndarray:
 def _pair_covers(xs, ys, da, partner, score) -> np.ndarray:
     """Mask of the rows where a and the partner b with the least ``score``
     cover N[i]; ``da`` holds the squared distances from a."""
-    rows = np.arange(len(xs))
-    b = np.where(partner, score, np.inf).argmin(axis=1)
-    missed = _sq_dist(xs - xs[rows, b][:, None], ys - ys[rows, b][:, None]) > 1.0
-    missed &= da > 1.0
-    return partner[rows, b] & ~missed.any(axis=1)
-
-
-def _masks_cover(xs, ys, rest, low, up) -> np.ndarray:
-    """Phase 2 of `prune` on the rows ``rest`` of `_closed_rows`: mask over
-    ``rest`` of the rows where some up-pair's miss mask and a partner's
-    have no common bit."""
     width = xs.shape[1]
-    # one row per up-pair (i, a); ``col`` is the column of a in row i
-    row = np.repeat(rest, up)
-    col = np.arange(len(row)) + np.repeat(low + 1 - (np.cumsum(up) - up), up)
+    b = np.where(partner, score, np.inf).argmin(axis=1)
+    b += np.arange(0, len(xs) * width, width)  # flat index of b
+    missed = _sq_dist(xs - np.take(xs, b)[:, None], ys - np.take(ys, b)[:, None]) > 1.0
+    missed &= da > 1.0
+    return np.take(partner, b) & ~missed.any(axis=1)
+
+
+def _masks_cover(xs, ys, low, up) -> np.ndarray:
+    """Loop 2 of `prune` on rows from `_closed_rows`: mask of the rows
+    where some up-pair's miss mask and a partner's have no common bit."""
+    width = xs.shape[1]
+    # one row per up-pair (i, a): a is the rank-th higher neighbour of i,
+    # in column ``col`` of row ``row``
+    row = np.repeat(np.arange(len(xs)), up)
+    rank = np.arange(len(row)) - np.repeat(np.cumsum(up) - up, up)
+    col = rank + np.repeat(low + 1, up)
+    cell = row * width + col
     dx = np.take(xs, row, axis=0)
-    dx -= xs[row, col][:, None]
+    dx -= np.take(xs, cell)[:, None]
     dy = np.take(ys, row, axis=0)
-    dy -= ys[row, col][:, None]
+    dy -= np.take(ys, cell)[:, None]
     d2 = _sq_dist(dx, dy)
 
     miss = np.zeros((len(row), -(-width // 64) * 64), dtype=bool)
     np.greater(d2, 1.0, out=miss[:, :width])
     words = np.packbits(miss, axis=1, bitorder="little").view(np.uint64)
 
-    # partners of a: covered by a, in a column above a's
-    partner = np.arange(width) > col[:, None]
-    partner &= d2 <= 1.0
-    flat = np.flatnonzero(partner)
-    pair = flat // width
-    # the up-pairs of a row are consecutive and in column order
-    other = pair + flat % width - col[pair]
-    hit = ~(np.take(words, pair, axis=0) & np.take(words, other, axis=0)).any(axis=1)
+    # the partners of up-pair p = (i, a) are the up-pairs q = (i, b) after it
+    # in its row, which are consecutive, with b covered by a: (p, q) for q in
+    # p+1..p+later, and b covered when d2[p, col[q]] <= 1
+    later = np.repeat(up, up) - 1 - rank
+    p = np.repeat(np.arange(len(row)), later)
+    q = np.arange(len(p)) + np.repeat(np.arange(1, len(row) + 1) - (np.cumsum(later) - later), later)
+    adjacent = np.take(d2, p * width + np.take(col, q)) <= 1.0
+    p, q = np.compress(adjacent, p), np.compress(adjacent, q)
+    hit = ~(np.take(words, p, axis=0) & np.take(words, q, axis=0)).any(axis=1)
     covered = np.zeros(len(xs), dtype=bool)
-    covered[row[pair[hit]]] = True
-    return covered[rest]
+    covered[row[p[hit]]] = True
+    return covered
 
 
 def brute_force_prune(g: UnitDiskGraph) -> GatewaySet:

@@ -43,6 +43,8 @@ def test_missing_config_exits_one(capsys):
 # libm log, acos and atan2, whose last bit may differ between machines.
 GOLDEN_RUNS = [
     (["run-rule2", "--n", "4000", "--side", "30", "--seed", "11"], "run_rule2_sampled.json", None),
+    # the paper's regime: side sqrt(n / ln n), mean degree about 30
+    (["run-rule2", "--n", "16000", "--side", "40.66", "--seed", "3"], "run_rule2_sqrt.json", None),
     (["run-rule2", "--graph", GOLDEN_GRAPH], "run_rule2_graph.json", None),
     (["verify", "--graph", GOLDEN_GRAPH], "verify_graph.json", None),
     (

@@ -115,6 +115,22 @@ class TestVertexStats:
             for vid in range(1, g.n + 1):
                 assert stats.single(vid) == hz.vertex_stats(g, vid, sch)
 
+    def test_bulk_matches_single_in_passes_of_n_edges(self, monkeypatch):
+        # lower counts summed over passes of n edges, at least three per graph
+        rng = np.random.default_rng(23)
+        for seed in range(10):
+            n = int(rng.integers(200, 800))
+            side = math.sqrt(n * math.pi / rng.uniform(5.0, 8.0))
+            sq = SquareRegion(side)
+            g = rgg.build_udg(rgg.sample_points(n, sq, seed=seed), sq)
+            assert len(g.edges) > 2 * n
+            sch = hz.Schedule(n=n, ell=side, alpha=2.0 * side * side)
+            with monkeypatch.context() as m:
+                m.setattr(rgg, "_JOIN_BLOCK", 1)
+                stats = hz.all_vertex_stats(g, sch)
+            for vid in range(1, n + 1):
+                assert stats.single(vid) == hz.vertex_stats(g, vid, sch)
+
     def test_interior_frequency_matches_exact_probability(self, graph_and_schedule):
         g, sch = graph_and_schedule
         stats = hz.all_vertex_stats(g, sch)

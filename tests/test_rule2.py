@@ -1,5 +1,6 @@
 """The pruning rule, its brute-force oracle, and CDS verification."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -224,6 +225,19 @@ class TestBruteForceOracle:
             g = rgg.build_udg(pts, sq)
             assert rule2.prune(g).members == rule2.brute_force_prune(g).members
 
+    def test_lower_counts_in_passes_of_n_edges(self, monkeypatch):
+        # passes of n edges, so each graph's lower-neighbour counts are
+        # summed over at least three passes
+        rng = np.random.default_rng(17)
+        for seed in range(20):
+            n = int(rng.integers(200, 800))
+            sq = SquareRegion(math.sqrt(n * math.pi / rng.uniform(5.0, 8.0)))
+            g = rgg.build_udg(rgg.sample_points(n, sq, seed=seed), sq)
+            assert len(g.edges) > 2 * n
+            with monkeypatch.context() as m:
+                m.setattr(rgg, "_JOIN_BLOCK", 1)
+                assert rule2.prune(g).members == rule2.brute_force_prune(g).members
+
     def test_matches_fast_path_on_small_dense_graphs(self):
         # each graph has candidates on both sides of the witness cut-off, so
         # both the witness pair and the miss masks decide some vertices
@@ -248,6 +262,18 @@ def _padded_columns(g):
     return tuple(np.append(col, np.nan) for col in g.points.T)
 
 
+def _record(monkeypatch, log, *names):
+    """Patch each named function of `rule2` to append (name, args) to
+    ``log`` before it runs."""
+    for name in names:
+
+        def recorded(*args, name=name, fn=getattr(rule2, name)):
+            log.append((name, args))
+            return fn(*args)
+
+        monkeypatch.setattr(rule2, name, recorded)
+
+
 def _mixed_degree_graph():
     """A dense cluster inside a sparse field: degrees from a few to ~60, so
     one degree-ordered block can hold rows of very different widths."""
@@ -262,8 +288,47 @@ class TestDegreeOrderedBlocks:
         g = _mixed_degree_graph()
         deg = np.diff(g.nbr_offsets)
         assert deg[deg > 0].min() <= 2 and deg.max() >= 50
-        monkeypatch.setattr(rule2, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(rule2, "_WITNESS_CELLS", cells)
+        monkeypatch.setattr(rule2, "_MASK_CELLS", cells)
         assert rule2.prune(g).members == rule2.brute_force_prune(g).members
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_paper_regime_matches_the_oracle(self, monkeypatch, seed):
+        # n = 16000 at mean degree ~30: both loops run over many blocks
+        n = 16000
+        sq = SquareRegion(rgg.ell_sqrt(n))
+        g = rgg.build_udg(rgg.sample_points(n, sq, seed=seed), sq)
+        log = []
+        _record(monkeypatch, log, "_witness_covers", "_masks_cover")
+        assert rule2.prune(g).members == rule2.brute_force_prune(g).members
+        loops = [name for name, _ in log]
+        assert loops.count("_witness_covers") >= 5 and loops.count("_masks_cover") >= 5
+
+    def test_mask_loop_gathers_what_the_witness_loop_left(self, monkeypatch):
+        n = 2000
+        sq = SquareRegion(rgg.ell_sqrt(n))
+        g = rgg.build_udg(rgg.sample_points(n, sq, seed=4), sq)
+        deg, up = np.diff(g.nbr_offsets), _up_counts(g)
+        # the witness pairs on all their candidates at once, as one block
+        first = np.flatnonzero(up >= rule2._WITNESS_MIN_UP)
+        xs, ys = rule2._closed_rows(g, *_padded_columns(g), first, deg[first])
+        left = first[~rule2._witness_covers(xs, ys, deg[first] - up[first])]
+        assert 0 < len(left) < len(first)
+
+        monkeypatch.setattr(rule2, "_WITNESS_CELLS", 1 << 10)
+        monkeypatch.setattr(rule2, "_MASK_CELLS", 1 << 10)
+        log = []
+        _record(monkeypatch, log, "_closed_rows", "_witness_covers", "_masks_cover")
+        rule2.prune(g)
+        # each block gathers its rows, then one loop decides them
+        assert [name for name, _ in log[::2]] == ["_closed_rows"] * (len(log) // 2)
+        loops = [name for name, _ in log[1::2]]
+        n_first = loops.count("_witness_covers")
+        assert n_first > 1 and loops == ["_witness_covers"] * n_first + ["_masks_cover"] * (len(loops) - n_first)
+        verts = [args[3] for _, args in log[::2]]
+        np.testing.assert_array_equal(np.sort(np.concatenate(verts[:n_first])), first)
+        want = np.union1d(np.flatnonzero((up >= 2) & (up < rule2._WITNESS_MIN_UP)), left)
+        np.testing.assert_array_equal(np.sort(np.concatenate(verts[n_first:])), want)
 
     def test_rows_are_i_then_neighbours_then_nan(self):
         g = _mixed_degree_graph()
