@@ -72,7 +72,7 @@ class SquareRegion:
 
 @dataclass(frozen=True)
 class AreaEstimate:
-    """An area value with its Monte Carlo uncertainty (zero when exact)."""
+    """A Monte Carlo area estimate and its standard error."""
 
     value: float
     std_error: float = 0.0

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import SquareRegion, truncated_disk_area
-from .rgg import _check_side, _check_vertex_count, _lower_counts, build_udg, components, ell_power, ell_sqrt, sample_points
+from .rgg import _check_side, _check_vertex_count, build_udg, ell_power, ell_sqrt, sample_points
 from .rule2 import CdsReport, prune, verify_cds
 from .util import csv_text, derived_seed
 
@@ -165,6 +165,9 @@ class VertexStatsArrays:
     concentrated: np.ndarray
 
     def single(self, vid: int) -> VertexStats:
+        """`VertexStats` of vertex ``vid``; an id outside 1..n raises `ValueError`."""
+        if not 1 <= vid <= len(self.higher_count):
+            raise ValueError(f"vertex id {vid} out of range 1..{len(self.higher_count)}")
         j = vid - 1
         return VertexStats(
             vid=vid,
@@ -181,7 +184,7 @@ def all_vertex_stats(g, schedule: Schedule) -> VertexStatsArrays:
     """`VertexStats` columns for all vertices (one pass over the graph)."""
     n = g.n
     ids = np.arange(1, n + 1)
-    lower = _lower_counts(g)
+    lower = g.nbr_low.copy()  # a copy, so a caller that edits the column cannot change the graph
     higher = np.diff(g.nbr_offsets) - lower
     side = g.square.side
     xs, ys = g.points[:, 0], g.points[:, 1]

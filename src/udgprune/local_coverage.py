@@ -295,7 +295,7 @@ def z_tail_check(center, square: SquareRegion, b: int, trials: int, seed: int) -
         raise ValueError(f"b={b} too small: the Chernoff bound needs b >= 2 (it divides by ln b)")
     counts = np.empty(trials, dtype=np.int64)
     for t, sample in enumerate(colored_trials(center, square, 0, b, trials, seed)):
-        counts[t] = sector_stats(sample).core_blue
+        counts[t] = len(sample.core)
     lam = clipped_disk_density(center, square)
     frame = sample.frame  # the frame `sample_colored` chose, the same for every trial
     threshold = 2.0 * lam * frame.b ** (1.0 / 3.0) / math.log(frame.b) ** 2

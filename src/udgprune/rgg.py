@@ -71,9 +71,11 @@ class UnitDiskGraph:
     (m, 2) int32 array of 0-based index pairs with i < j, in lexicographic
     order; the CSR-style arrays ``nbr_flat`` (int32, 2m) and
     ``nbr_offsets`` (int64, n + 1, since 2m can pass 2^31) give each
-    vertex's sorted neighbor IDs.  So n < 2^31.  ``edges`` holds every edge
-    a second time; `components` and `rule2.verify_cds` take their passes of
-    edges from it.
+    vertex's sorted neighbor IDs.  So n < 2^31.  ``nbr_low`` (intp, n)
+    counts each row's neighbours with a lower ID, so the higher ones of
+    vertex index v start at ``nbr_offsets[v] + nbr_low[v]``.  ``edges``
+    holds every edge a second time: `components` labels it in passes, and
+    `rule2.verify_cds` gathers its whole columns.
     """
 
     points: np.ndarray
@@ -82,6 +84,7 @@ class UnitDiskGraph:
     edges: np.ndarray
     nbr_flat: np.ndarray = field(repr=False)
     nbr_offsets: np.ndarray = field(repr=False)
+    nbr_low: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -95,7 +98,7 @@ class UnitDiskGraph:
 
     def closed_neighborhood(self, vid: int) -> np.ndarray:
         """Sorted IDs of ``vid`` and everything adjacent to it."""
-        return np.sort(np.append(self.neighbors(vid), vid))
+        return np.insert(self.neighbors(vid), self.nbr_low[vid - 1], vid)
 
 
 # candidate pairs per pass of the cell join, and edges per pass of the CSR
@@ -241,6 +244,7 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None)
         edges=edges,
         nbr_flat=nbr_flat,
         nbr_offsets=offsets,
+        nbr_low=low,
     )
 
 
@@ -259,17 +263,6 @@ def components(g: UnitDiskGraph) -> tuple[int, np.ndarray]:
     """Connected-component count and per-vertex int32 labels (0-based),
     numbered in order of each component's smallest vertex."""
     return _component_labels(g.n, g.edges)
-
-
-def _lower_counts(g: UnitDiskGraph) -> np.ndarray:
-    """Each vertex's neighbours with a lower ID, counted from ``edges`` in
-    passes of ``max(n, _JOIN_BLOCK)`` edges: `np.bincount` casts its input
-    to an intp copy, which for the whole column costs 8 bytes per edge."""
-    low = np.zeros(g.n, dtype=np.intp)
-    step = max(g.n, _JOIN_BLOCK)
-    for s in range(0, len(g.edges), step):
-        low += np.bincount(g.edges[s : s + step, 1], minlength=g.n)
-    return low
 
 
 def _component_labels(n: int, edges: np.ndarray) -> tuple[int, np.ndarray]:

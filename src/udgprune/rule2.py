@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import _sq_dist
-from .rgg import UnitDiskGraph, _component_labels, _lower_counts, components
+from .rgg import UnitDiskGraph, _component_labels, components
 
 __all__ = [
     "GatewaySet",
@@ -168,7 +168,7 @@ def prune(g: UnitDiskGraph) -> GatewaySet:
     """
     n = g.n
     deg = np.diff(g.nbr_offsets)
-    low = _lower_counts(g)
+    low = g.nbr_low
     up = deg - low
     excluded = np.zeros(n, dtype=bool)
     # slot n of each coordinate column is the NaN that pads the rows

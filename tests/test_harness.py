@@ -112,22 +112,32 @@ class TestVertexStats:
         lattice_schedule = hz.Schedule(n=lattice.n, ell=side, alpha=40.0)
         for g, sch in (graph_and_schedule, (lattice, lattice_schedule)):
             stats = hz.all_vertex_stats(g, sch)
+            assert not np.shares_memory(stats.lower_count, g.nbr_low)
             for vid in range(1, g.n + 1):
                 assert stats.single(vid) == hz.vertex_stats(g, vid, sch)
 
+    def test_bulk_single_checks_the_id(self, graph_and_schedule):
+        g, sch = graph_and_schedule
+        stats = hz.all_vertex_stats(g, sch)
+        for vid in (0, -1, g.n + 1):
+            with pytest.raises(ValueError, match=f"out of range 1..{g.n}"):
+                stats.single(vid)
+
     def test_bulk_matches_single_in_passes_of_n_edges(self, monkeypatch):
-        # lower counts summed over passes of n edges, at least three per graph
+        # graphs built in passes of one candidate or edge, so the lower
+        # counts come from rows filled over more than 2n passes
         rng = np.random.default_rng(23)
         for seed in range(10):
             n = int(rng.integers(200, 800))
             side = math.sqrt(n * math.pi / rng.uniform(5.0, 8.0))
             sq = SquareRegion(side)
-            g = rgg.build_udg(rgg.sample_points(n, sq, seed=seed), sq)
-            assert len(g.edges) > 2 * n
-            sch = hz.Schedule(n=n, ell=side, alpha=2.0 * side * side)
+            pts = rgg.sample_points(n, sq, seed=seed)
             with monkeypatch.context() as m:
                 m.setattr(rgg, "_JOIN_BLOCK", 1)
-                stats = hz.all_vertex_stats(g, sch)
+                g = rgg.build_udg(pts, sq)
+            assert len(g.edges) > 2 * n
+            sch = hz.Schedule(n=n, ell=side, alpha=2.0 * side * side)
+            stats = hz.all_vertex_stats(g, sch)
             for vid in range(1, n + 1):
                 assert stats.single(vid) == hz.vertex_stats(g, vid, sch)
 

@@ -392,10 +392,13 @@ class TestCoreTail:
         rep = lc.z_tail_check(CENTER, SQUARE, b=10**4, trials=2000, seed=6)
         assert rep.tail_ok
         assert rep.mean_ok
+        # the core counts of this seed's samples, pinned
+        assert (rep.mean_core, rep.empirical_tail) == (0.2595, 0.2245)
 
     def test_core_count_mean_matches_binomial(self):
         rep = lc.z_tail_check(CENTER, SQUARE, b=3000, trials=2000, seed=8)
         assert rep.mean_ok
+        assert (rep.mean_core, rep.empirical_tail) == (0.2275, 0.205)
         # interior center: density is exactly 1
         delta = 1.0 / (3000 ** (1 / 3) * math.log(3000))
         assert rep.expected_core == pytest.approx(3000 * delta**2, rel=1e-12)

@@ -111,6 +111,7 @@ class TestBuildUdg:
         expected = rgg.brute_force_edges(pts)
         assert np.array_equal(g.edges, expected)
         assert int(np.sum(np.sum((pts[expected[:, 0]] - pts[expected[:, 1]]) ** 2, axis=1) == 1.0)) > 50
+        _check_row_split(g)
 
     @pytest.mark.parametrize("side", [0.5, 1.0, 1.5, 1.99])
     def test_matches_brute_force_in_one_or_two_columns(self, side):
@@ -131,6 +132,7 @@ class TestBuildUdg:
         assert g.edges.dtype == np.int32 and g.edges.shape == (len(g.edges), 2)
         assert g.nbr_flat.dtype == np.int32 and len(g.nbr_flat) == 2 * len(g.edges)
         assert g.nbr_offsets.dtype == np.int64 and len(g.nbr_offsets) == g.n + 1
+        assert g.nbr_low.dtype == np.intp and len(g.nbr_low) == g.n
 
     @pytest.mark.parametrize(
         "pts", [[[1.0, 1.0]], [[0.5, 0.5], [2.0, 0.5], [0.5, 2.0], [2.0, 2.0]]], ids=["n1", "far-apart"]
@@ -140,6 +142,7 @@ class TestBuildUdg:
         assert g.edges.shape == (0, 2) and g.edges.dtype == np.int32
         assert len(g.nbr_flat) == 0 and (g.nbr_offsets == 0).all() and len(g.nbr_offsets) == g.n + 1
         assert all(len(g.neighbors(v)) == 0 for v in range(1, g.n + 1))
+        _check_row_split(g)
 
     def test_small_passes_build_the_same_graph(self, monkeypatch):
         # passes of 7 candidates or edges: many passes per run of keys, and
@@ -153,6 +156,17 @@ class TestBuildUdg:
         assert np.array_equal(small.edges, rgg.brute_force_edges(pts))
         assert np.array_equal(small.nbr_flat, g.nbr_flat)
         assert np.array_equal(small.nbr_offsets, g.nbr_offsets)
+        assert np.array_equal(small.nbr_low, g.nbr_low)
+
+    def test_lower_counts_match_the_rows(self, monkeypatch):
+        # passes of 7 candidates or edges, so each row's lower neighbours are
+        # filled over many passes; graphs from a few vertices to dense ones
+        monkeypatch.setattr(rgg, "_JOIN_BLOCK", 7)
+        rng = np.random.default_rng(41)
+        for seed in range(12):
+            n, side = int(rng.integers(1, 400)), float(rng.uniform(1.0, 12.0))
+            sq = SquareRegion(side)
+            _check_row_split(rgg.build_udg(rgg.sample_points(n, sq, seed=seed), sq))
 
     def test_n_at_the_index_limit_rejected(self, monkeypatch):
         # the limit is 2^31; a lowered one shows the check without the memory
@@ -217,6 +231,7 @@ class TestBuildUdg:
         nb = g.closed_neighborhood(7)
         assert 7 in nb
         assert set(nb) == {7} | set(int(x) for x in g.neighbors(7))
+        _check_row_split(g)
 
     def test_neighbors_checks_the_id(self):
         sq = SquareRegion(5.0)
@@ -296,6 +311,16 @@ class TestComponents:
         assert min(passes) >= 2
 
 
+def _check_row_split(g):
+    """Assert that ``nbr_low`` counts each row's lower neighbours and that
+    `closed_neighborhood` is the row with the vertex inserted in order."""
+    assert g.nbr_low.shape == (g.n,)
+    for v in range(1, g.n + 1):
+        nbr = g.neighbors(v)
+        assert g.nbr_low[v - 1] == (nbr < v).sum()
+        assert np.array_equal(g.closed_neighborhood(v), np.sort(np.append(nbr, v)))
+
+
 def _check_against_scipy(got, n, edges):
     """Assert that ``got`` equals scipy's count and int32 labels."""
     # scipy is a test dependency only; the labelling it checks is numpy
@@ -318,6 +343,7 @@ class TestSerialization:
         assert g2.n == g.n and g2.square.side == g.square.side and g2.seed == 77
         assert (g2.points == g.points).all()
         assert np.array_equal(g2.edges, g.edges)
+        _check_row_split(g2)
 
     def test_golden_file_reads_and_rewrites_byte_for_byte(self, tmp_path):
         g = rgg.load_graph(GOLDEN)

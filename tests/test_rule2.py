@@ -226,17 +226,19 @@ class TestBruteForceOracle:
             assert rule2.prune(g).members == rule2.brute_force_prune(g).members
 
     def test_lower_counts_in_passes_of_n_edges(self, monkeypatch):
-        # passes of n edges, so each graph's lower-neighbour counts are
-        # summed over at least three passes
+        # graphs built in passes of one candidate or edge, so the
+        # lower-neighbour counts `prune` reads come from a build whose rows
+        # are filled over more than 2n passes
         rng = np.random.default_rng(17)
         for seed in range(20):
             n = int(rng.integers(200, 800))
             sq = SquareRegion(math.sqrt(n * math.pi / rng.uniform(5.0, 8.0)))
-            g = rgg.build_udg(rgg.sample_points(n, sq, seed=seed), sq)
-            assert len(g.edges) > 2 * n
+            pts = rgg.sample_points(n, sq, seed=seed)
             with monkeypatch.context() as m:
                 m.setattr(rgg, "_JOIN_BLOCK", 1)
-                assert rule2.prune(g).members == rule2.brute_force_prune(g).members
+                g = rgg.build_udg(pts, sq)
+            assert len(g.edges) > 2 * n
+            assert rule2.prune(g).members == rule2.brute_force_prune(g).members
 
     def test_matches_fast_path_on_small_dense_graphs(self):
         # each graph has candidates on both sides of the witness cut-off, so
