@@ -42,10 +42,10 @@ print(f"component preserving: {report.component_preserving} "
 print("\nWhy a vertex retires: the first few exclusion witnesses")
 shown = 0
 for vid in range(1, n + 1):
-    w = rule2.is_excluded(g, vid)
-    if w is not None:
-        i1, i2 = w.pair
-        print(f"   vertex {w.excluded:>5} covered by adjacent pair ({i1}, {i2}), both higher-ID")
+    pair = rule2.is_excluded(g, vid)
+    if pair is not None:
+        i1, i2 = pair
+        print(f"   vertex {vid:>5} covered by adjacent pair ({i1}, {i2}), both higher-ID")
         shown += 1
         if shown == 5:
             break

@@ -86,27 +86,23 @@ class SectorFrame:
     For a size parameter ``b`` the derived quantities are
 
         delta = 1 / (b^(1/3) * ln b)
-        count = floor(b^(1/3) * (ln b)^log_exponent)
+        count = floor(b^(1/3) * (ln b)^1.5)
         theta = pi / count
 
     Sector ``(Q, i)`` spans polar angles [(i - 1/2) theta, (i + 1/2) theta]
     about the center, and ``(R, i)`` is its reflection through the center.
-    Logs are natural logs; ``log_exponent`` may be 1.5 (default) or 2.0 —
-    both appear in the literature and only the sector count differs.  The
-    colored-sample experiment uses 1.5; 2.0 is the exponent under which
-    the matched-sector mean b^(1/3) / (4 ln^6 b) is exact.
+    Logs are natural logs.  The literature also uses (ln b)^2 in the count,
+    the exponent under which the matched-sector mean b^(1/3) / (4 ln^6 b)
+    is exact; the colored-sample experiment uses 1.5.
     """
 
     center: Point2D
     b: int
-    log_exponent: float = 1.5
 
     def __post_init__(self):
         _require_finite(self.center)
         if self.b < 2:
             raise ValueError(f"size parameter b must be an integer >= 2, got {self.b!r}")
-        if self.log_exponent not in (1.5, 2.0):
-            raise ValueError(f"log_exponent must be 1.5 or 2.0, got {self.log_exponent!r}")
         if self.count < 1:
             raise ValueError(f"b={self.b} too small: derived sector count is zero")
 
@@ -118,7 +114,7 @@ class SectorFrame:
     @property
     def count(self) -> int:
         ln = math.log(self.b)
-        return int(math.floor(self.b ** (1.0 / 3.0) * ln**self.log_exponent))
+        return int(math.floor(self.b ** (1.0 / 3.0) * ln**1.5))
 
     @property
     def theta(self) -> float:
@@ -365,17 +361,6 @@ def _quadrant_area(x: float, y: float) -> float:
     return _cap_area(x) if x >= 0.0 else _cap_area(y)
 
 
-def _disk_rect_area(center, x0, y0, x1, y1) -> float:
-    a, b = x0 - center[0], x1 - center[0]
-    c, d = y0 - center[1], y1 - center[1]
-    return (
-        _quadrant_area(a, c)
-        - _quadrant_area(b, c)
-        - _quadrant_area(a, d)
-        + _quadrant_area(b, d)
-    )
-
-
 def truncated_disk_area(o, square: SquareRegion) -> float:
     """Exact area of the unit disk about ``o`` clipped to the square.
 
@@ -385,7 +370,10 @@ def truncated_disk_area(o, square: SquareRegion) -> float:
     _require_finite(o)
     if not square.contains(o):
         raise ValueError(f"center {tuple(o)!r} outside square of side {square.side}")
-    return _disk_rect_area(o, 0.0, 0.0, square.side, square.side)
+    # the square's sides relative to o: x runs from a to b, and y from c to d
+    a, b = 0.0 - o[0], square.side - o[0]
+    c, d = 0.0 - o[1], square.side - o[1]
+    return _quadrant_area(a, c) - _quadrant_area(b, c) - _quadrant_area(a, d) + _quadrant_area(b, d)
 
 
 def region_membership(inside, outside) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:

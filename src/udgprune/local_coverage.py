@@ -11,8 +11,8 @@ A sample finds its core points when it is built (`ColoredSample.core`);
 `sector_stats` labels each once and keeps the first matched pair for
 `x_b_indicator`.  `colored_trials` is the one loop that draws the
 samples of a seeded experiment, trial t from ``derived_seed(seed, t)``.
-`sample_colored` alone picks the sector frame, the paper's with
-``log_exponent`` 1.5; every reader takes it from ``sample.frame``.
+`sample_colored` alone picks the sector frame, the paper's for b; every
+reader takes it from ``sample.frame``.
 `sample_truncated_disk` takes each batch's accepted rows with
 `np.compress` along axis 0, because ``cand[keep]`` on (batch, 2) rows
 measured about 10 times slower on numpy 2.4.6.
@@ -99,13 +99,6 @@ def clipped_disk_density(center, square: SquareRegion) -> float:
     return math.pi / truncated_disk_area(center, square)
 
 
-def _core_radius_inside(center, square: SquareRegion, delta: float) -> bool:
-    return (
-        delta <= center[0] <= square.side - delta
-        and delta <= center[1] <= square.side - delta
-    )
-
-
 def sample_truncated_disk(
     center, square: SquareRegion, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
@@ -153,9 +146,10 @@ def sample_colored(center, square: SquareRegion, w: int, b: int, seed: int) -> C
     # the sector geometry needs ln b > 0 and at least one sector, so tiny
     # samples borrow the smallest admissible frame
     frame = SectorFrame(center=center, b=max(b, 3))
-    if not _core_radius_inside(center, square, frame.delta):
+    delta = frame.delta
+    if not (delta <= center[0] <= square.side - delta and delta <= center[1] <= square.side - delta):
         raise ValueError(
-            f"core disk of radius {frame.delta:.3g} about {tuple(center)} "
+            f"core disk of radius {delta:.3g} about {tuple(center)} "
             f"does not fit inside the square of side {square.side}"
         )
     rng = np.random.default_rng(seed)

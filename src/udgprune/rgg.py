@@ -6,7 +6,8 @@ It is built by a cell join: the points are sorted by unit-side cell key,
 and each point is joined with two runs of consecutive keys found by
 ``searchsorted``, so a radius-1 query touches at most a 3x3 block of
 cells and no Python loop runs per cell.  The join and the adjacency
-fill run in passes of bounded size, and vertex indices are int32.
+fill run in passes of bounded size, and vertex indices are int32; the
+join's passes are cut by `_blocks`, which cuts `rule2.prune`'s blocks too.
 `components` is a union-find over passes of edges, in numpy alone.  A
 constructed graph is immutable and safe to share across workers.
 `save_graph` and `load_graph` move a graph through a text file of its
@@ -105,6 +106,19 @@ class UnitDiskGraph:
 # fill: every transient array of `build_udg` is a small multiple of this
 _JOIN_BLOCK = 1 << 17
 
+
+def _blocks(cost, cells) -> list[slice]:
+    """Consecutive slices of the items costed by ``cost``, a new slice
+    starting at each multiple of ``cells`` in the running sum of ``cost``:
+    a slice costs less than ``cells`` plus the cost of its last item.
+    `build_udg`'s join passes and `rule2.prune`'s blocks are cut by it."""
+    if not len(cost):
+        return []
+    block = (np.cumsum(cost) - cost) // cells
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(cost)]
+    return [slice(s, e) for s, e in itertools.pairwise(cuts)]
+
+
 # vertex indices and IDs are stored as int32, so n must stay below this
 _MAX_N = 1 << 31
 
@@ -139,12 +153,13 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None)
     A NW pair is the other point's SE pair, so each pair of neighbouring
     cells is joined exactly once.  A run's slot ranges come from
     ``searchsorted`` on the sorted keys, and it is joined in passes of
-    about ``_JOIN_BLOCK`` candidate pairs, with no Python loop over cells
-    or points.  Candidates are filtered on squared distance, no square
-    root is taken, and a pass keeps only the int64 codes (i << 32) | j of
-    its edges.  Sorting the codes gives ``edges`` in lexicographic (i, j)
-    order, and the CSR is filled from ``edges`` in passes too, so no
-    transient array grows with the candidate set or the edge count.
+    about ``_JOIN_BLOCK`` candidate pairs, cut by `_blocks`, with no Python
+    loop over cells or points.  Candidates are filtered on squared
+    distance, no square root is taken, and a pass keeps only the int64
+    codes (i << 32) | j of its edges.  Sorting the codes gives ``edges``
+    in lexicographic (i, j) order, and the CSR is filled from ``edges`` in
+    passes too, so no transient array grows with the candidate set or the
+    edge count.
 
     Raises `ValueError` for n >= 2^31 or a side of at least ``_MAX_SIDE``
     (about 3.04e9), before any array is made: vertex indices are int32,
@@ -173,26 +188,24 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None)
     skey = key[order]
     sx, sy = np.take(points, order, axis=0).T.copy()
 
-    codes = []
+    codes = [np.empty(0, dtype=np.int64)]  # so that n = 0, with no pass, joins too
     # partner slot ranges [lo, hi) in sorted order, one per point and run of
     # keys: the rest of its own cell and its N cell, then its SE, E and NE
     # cells (a NW pair is the other point's SE pair)
     for lo, last in ((np.arange(1, n + 1), 1), (np.searchsorted(skey, skey + stride - 1), stride + 1)):
         hi = np.searchsorted(skey, skey + last, side="right")
         count = hi - lo
-        part_of = (np.cumsum(count) - count) // _JOIN_BLOCK
-        cuts = [0, *(np.flatnonzero(np.diff(part_of)) + 1).tolist(), n]
-        for s, e in itertools.pairwise(cuts):
-            # one candidate per (point in s..e-1, partner slot sj)
-            c = count[s:e]
-            sj = np.repeat(lo[s:e] - (np.cumsum(c) - c), c)
+        for blk in _blocks(count, _JOIN_BLOCK):
+            # one candidate per (point in blk, partner slot sj)
+            c = count[blk]
+            sj = np.repeat(lo[blk] - (np.cumsum(c) - c), c)
             sj += np.arange(len(sj))
-            dx = np.repeat(sx[s:e], c)
+            dx = np.repeat(sx[blk], c)
             dx -= sx[sj]
-            dy = np.repeat(sy[s:e], c)
+            dy = np.repeat(sy[blk], c)
             dy -= sy[sj]
             keep = np.flatnonzero(_sq_dist(dx, dy) <= 1.0)
-            i, j = np.repeat(order[s:e], c)[keep], order[sj[keep]]
+            i, j = np.repeat(order[blk], c)[keep], order[sj[keep]]
             code = np.minimum(i, j).astype(np.int64)
             code <<= 32
             code |= np.maximum(i, j)

@@ -39,11 +39,10 @@ from typing import Optional
 import numpy as np
 
 from .geometry import _sq_dist
-from .rgg import UnitDiskGraph, _component_labels, components
+from .rgg import UnitDiskGraph, _blocks, _component_labels, components
 
 __all__ = [
     "GatewaySet",
-    "ExclusionWitness",
     "CdsReport",
     "is_excluded",
     "prune",
@@ -63,22 +62,10 @@ class GatewaySet:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class ExclusionWitness:
-    """A covering pair proving vertex ``excluded`` is redundant.
-
-    ``pair`` = (i1, i2) with i1 > i2 > excluded, i1 adjacent to i2, and
-    the closed neighborhood of ``excluded`` contained in the union of the
-    pair's closed neighborhoods.
-    """
-
-    excluded: int
-    pair: tuple[int, int]
-
-
-def is_excluded(g: UnitDiskGraph, i: int) -> Optional[ExclusionWitness]:
-    """Return a witness if some higher-ID adjacent pair covers vertex ``i``,
-    else None.
+def is_excluded(g: UnitDiskGraph, i: int) -> Optional[tuple[int, int]]:
+    """The witness (i1, i2) if some higher-ID adjacent pair covers vertex
+    ``i``, else None: i1 > i2 > i, i1 is adjacent to i2, and N[i] ⊆ N[i1] ∪
+    N[i2].
 
     Runs `brute_force_prune`'s search on the members of N[i] alone, so the
     pair is the lexicographically largest witness.  `prune` reaches the same
@@ -86,8 +73,7 @@ def is_excluded(g: UnitDiskGraph, i: int) -> Optional[ExclusionWitness]:
     A vertex id outside 1..n raises `ValueError` from ``g.closed_neighborhood``.
     """
     closed = {v: {v, *g.neighbors(v).tolist()} for v in g.closed_neighborhood(i).tolist()}
-    pair = _witness(closed, i)
-    return None if pair is None else ExclusionWitness(excluded=int(i), pair=pair)
+    return _witness(closed, i)
 
 
 def _witness(closed, i: int) -> Optional[tuple[int, int]]:
@@ -135,10 +121,11 @@ def prune(g: UnitDiskGraph) -> GatewaySet:
 
     The candidates (vertices with at least two higher neighbours) are
     taken in ascending degree order, by a stable sort, and decided by two
-    loops, each over blocks cut by `_blocks`, so memory stays bounded at
-    any degree.  The rows of a block have nearly equal width, so little of
-    a block is padding.  Each block gathers its rows of N[i] = [i] + nbr(i)
-    in one pass (`_closed_rows`).
+    loops, each over blocks cut by `rgg._blocks` (which cuts `build_udg`'s
+    join passes too), so memory stays bounded at any degree.  The rows of
+    a block have nearly equal width, so little of a block is padding.
+    Each block gathers its rows of N[i] = [i] + nbr(i) in one pass
+    (`_closed_rows`).
 
     1. Witness pairs, in blocks of about ``_WITNESS_CELLS`` (row, slot)
        cells, over the candidates with at least ``_WITNESS_MIN_UP`` higher
@@ -178,24 +165,16 @@ def prune(g: UnitDiskGraph) -> GatewaySet:
     cand = np.flatnonzero(up >= 2)
     cand = cand[np.argsort(deg[cand], kind="stable")]
     first = cand[up[cand] >= _WITNESS_MIN_UP]
-    for verts in _blocks(first, deg[first] + 1, _WITNESS_CELLS):
+    for blk in _blocks(deg[first] + 1, _WITNESS_CELLS):
+        verts = first[blk]
         xs, ys = _closed_rows(g, px, py, verts, deg[verts])
         excluded[verts[_witness_covers(xs, ys, low[verts])]] = True
     rest = cand[~excluded[cand]]
-    for verts in _blocks(rest, up[rest] * (deg[rest] + 1), _MASK_CELLS):
+    for blk in _blocks(up[rest] * (deg[rest] + 1), _MASK_CELLS):
+        verts = rest[blk]
         xs, ys = _closed_rows(g, px, py, verts, deg[verts])
         excluded[verts[_masks_cover(xs, ys, low[verts], up[verts])]] = True
     return GatewaySet(members=tuple((np.flatnonzero(~excluded) + 1).tolist()))
-
-
-def _blocks(verts, cost, cells) -> list[np.ndarray]:
-    """``verts`` cut into consecutive runs, a new run starting at each
-    multiple of ``cells`` in the running sum of ``cost``: a run costs less
-    than ``cells`` plus the cost of its last vertex."""
-    if not len(verts):
-        return []
-    block = (np.cumsum(cost) - cost) // cells
-    return np.split(verts, np.flatnonzero(np.diff(block)) + 1)
 
 
 def _closed_rows(g: UnitDiskGraph, px, py, verts, deg) -> tuple[np.ndarray, np.ndarray]:
@@ -313,16 +292,22 @@ def verify_cds(g: UnitDiskGraph, c: GatewaySet) -> CdsReport:
 
     A singleton component of ``g`` can only be dominated by itself, so
     component preservation for isolated vertices is implied by the two
-    checks together.
+    checks together.  A member that is not an integer, that repeats or
+    that lies outside 1..n raises `ValueError`.
     """
-    member_arr = np.asarray(c.members, dtype=np.int64)
-    if len(member_arr) != len(set(c.members)):
-        raise ValueError("gateway set contains duplicate ids")
+    # no dtype is forced, so a float or bool id shows in the dtype rather
+    # than being truncated to an integer
+    member_arr = np.asarray(c.members) if c.members else np.empty(0, dtype=np.int64)
+    if member_arr.dtype.kind not in "iu":
+        odd = (m for m in c.members if isinstance(m, bool) or not isinstance(m, (int, np.integer)))
+        bad = next(odd, c.members[0])  # else an int past int64 made the dtype
+        raise ValueError(f"gateway set contains an id that is not a 64-bit integer: {bad!r}")
     if len(member_arr) and (member_arr.min() < 1 or member_arr.max() > g.n):
         raise ValueError("gateway set contains ids outside the graph")
-
     in_c = np.zeros(g.n, dtype=bool)
     in_c[member_arr - 1] = True
+    if np.count_nonzero(in_c) != len(member_arr):
+        raise ValueError("gateway set contains duplicate ids")
 
     n_graph, _ = components(g)  # first, so ci and cj do not add 2m bytes to its peak
 

@@ -327,9 +327,11 @@ def test_c09_matched_sector_mean_literal():
 
 def _exact_mean_tau(b, log_exponent):
     """E tau = L b(b-1) p^2 (1-2p)^(b-2), p = delta^2 / (2L), for an
-    interior centre, where each sector holds a blue point w.p. p."""
-    frame = SectorFrame(Point2D(0.0, 0.0), b, log_exponent=log_exponent)
-    L = frame.count
+    interior centre, where each sector holds a blue point w.p. p and
+    L = floor(b^(1/3) (ln b)^log_exponent); `SectorFrame` counts at 1.5."""
+    frame = SectorFrame(Point2D(0.0, 0.0), b)
+    L = math.floor(b ** (1.0 / 3.0) * math.log(b) ** log_exponent)
+    assert log_exponent != 1.5 or L == frame.count
     p = frame.delta**2 / (2 * L)
     return L * b * (b - 1) * p**2 * math.exp((b - 2) * math.log1p(-2 * p))
 

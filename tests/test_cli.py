@@ -47,6 +47,12 @@ GOLDEN_RUNS = [
     (["run-rule2", "--n", "16000", "--side", "40.66", "--seed", "3"], "run_rule2_sqrt.json", None),
     (["run-rule2", "--graph", GOLDEN_GRAPH], "run_rule2_graph.json", None),
     (["verify", "--graph", GOLDEN_GRAPH], "verify_graph.json", None),
+    # every third member of Rule 2's set: neither dominating nor connected
+    (
+        ["verify", "--graph", GOLDEN_GRAPH, "--cds", str(DATA / "cli" / "verify_every_third_ids.txt")],
+        "verify_every_third.json",
+        None,
+    ),
     (
         ["local-coverage", "--b", "1000", "--w", "1000", "--ox", "5", "--oy", "5",
          "--side", "10", "--trials", "20", "--seed", "2"],

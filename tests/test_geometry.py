@@ -289,17 +289,9 @@ class TestSectorFrame:
         assert frame.count == math.floor(10.0 * math.log(1000.0) ** 1.5)
         assert frame.theta * frame.count == pytest.approx(math.pi, abs=1e-12)
 
-    def test_alternative_log_exponent(self):
-        frame = geo.SectorFrame(geo.Point2D(0, 0), 1000, log_exponent=2.0)
-        assert frame.count == math.floor(10.0 * math.log(1000.0) ** 2)
-
     def test_too_small_b_rejected(self):
         with pytest.raises(ValueError):
             geo.SectorFrame(geo.Point2D(0, 0), 2)
-
-    def test_bad_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            geo.SectorFrame(geo.Point2D(0, 0), 1000, log_exponent=1.0)
 
 
 class TestSectorOf:

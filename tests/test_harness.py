@@ -123,7 +123,7 @@ class TestVertexStats:
             with pytest.raises(ValueError, match=f"out of range 1..{g.n}"):
                 stats.single(vid)
 
-    def test_bulk_matches_single_in_passes_of_n_edges(self, monkeypatch):
+    def test_bulk_matches_single_in_passes_of_one_edge(self, monkeypatch):
         # graphs built in passes of one candidate or edge, so the lower
         # counts come from rows filled over more than 2n passes
         rng = np.random.default_rng(23)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from udgprune import rgg
+from udgprune import rgg, rule2
 from udgprune.geometry import SquareRegion
 
 # a committed file in the `save_graph` format, so any change to how lines
@@ -135,7 +135,9 @@ class TestBuildUdg:
         assert g.nbr_low.dtype == np.intp and len(g.nbr_low) == g.n
 
     @pytest.mark.parametrize(
-        "pts", [[[1.0, 1.0]], [[0.5, 0.5], [2.0, 0.5], [0.5, 2.0], [2.0, 2.0]]], ids=["n1", "far-apart"]
+        "pts",
+        [np.empty((0, 2)), [[1.0, 1.0]], [[0.5, 0.5], [2.0, 0.5], [0.5, 2.0], [2.0, 2.0]]],
+        ids=["n0", "n1", "far-apart"],
     )
     def test_graph_without_edges(self, pts):
         g = rgg.build_udg(np.array(pts), SquareRegion(3.0))
@@ -143,6 +145,10 @@ class TestBuildUdg:
         assert len(g.nbr_flat) == 0 and (g.nbr_offsets == 0).all() and len(g.nbr_offsets) == g.n + 1
         assert all(len(g.neighbors(v)) == 0 for v in range(1, g.n + 1))
         _check_row_split(g)
+        # every vertex keeps itself, and is a component of its own
+        cds = rule2.prune(g)
+        assert cds.members == tuple(range(1, g.n + 1))
+        assert rule2.verify_cds(g, cds) == rule2.CdsReport(True, True, g.n, g.n)
 
     def test_small_passes_build_the_same_graph(self, monkeypatch):
         # passes of 7 candidates or edges: many passes per run of keys, and

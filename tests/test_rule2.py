@@ -33,9 +33,7 @@ class TestIsExcluded:
         assert rule2.is_excluded(g, 2) is None
 
     def test_triangle_lowest_id_excluded(self, triangle):
-        w = rule2.is_excluded(triangle, 1)
-        assert w is not None
-        assert w.excluded == 1 and w.pair == (3, 2)
+        assert rule2.is_excluded(triangle, 1) == (3, 2)
 
     def test_triangle_higher_ids_kept(self, triangle):
         assert rule2.is_excluded(triangle, 2) is None
@@ -60,12 +58,12 @@ class TestIsExcluded:
                 w = rule2.is_excluded(g, vid)
                 if w is None:
                     continue
-                i1, i2 = w.pair
-                assert i1 > i2 > w.excluded
+                i1, i2 = w
+                assert i1 > i2 > vid
                 # the pair is adjacent
                 assert i2 in g.neighbors(i1)
                 # and covers the closed neighborhood
-                target = set(map(int, g.closed_neighborhood(w.excluded)))
+                target = set(map(int, g.closed_neighborhood(vid)))
                 union = set(map(int, g.closed_neighborhood(i1))) | set(
                     map(int, g.closed_neighborhood(i2))
                 )
@@ -87,8 +85,7 @@ class TestIsExcluded:
                     for i2 in closed[i] & closed[i1]
                     if i1 > i2 > i and closed[i] <= closed[i1] | closed[i2]
                 ]
-                w = rule2.is_excluded(g, i)
-                assert (None if w is None else w.pair) == max(valid, default=None), (seed, i)
+                assert rule2.is_excluded(g, i) == max(valid, default=None), (seed, i)
                 named += len(valid) > 1
         # most witnesses are one of several valid pairs
         assert named > 1000
@@ -225,7 +222,7 @@ class TestBruteForceOracle:
             g = rgg.build_udg(pts, sq)
             assert rule2.prune(g).members == rule2.brute_force_prune(g).members
 
-    def test_lower_counts_in_passes_of_n_edges(self, monkeypatch):
+    def test_lower_counts_in_passes_of_one_edge(self, monkeypatch):
         # graphs built in passes of one candidate or edge, so the
         # lower-neighbour counts `prune` reads come from a build whose rows
         # are filled over more than 2n passes
@@ -465,6 +462,19 @@ class TestVerifyCds:
     def test_foreign_member_rejected(self, triangle):
         with pytest.raises(ValueError):
             rule2.verify_cds(triangle, rule2.GatewaySet(members=(1, 9)))
+
+    @pytest.mark.parametrize(
+        "members,bad", [((1.7,), 1.7), ((True,), True), ((1.0,), 1.0), ((2, 1.7), 1.7), ((2, "1"), "1")]
+    )
+    def test_non_integer_member_rejected(self, members, bad):
+        # an int64 conversion would read 1.7, True and 1.0 as vertex 1
+        g = _graph([[1.0, 1.0], [1.5, 1.0]])
+        with pytest.raises(ValueError, match=f"not a 64-bit integer: {bad!r}$"):
+            rule2.verify_cds(g, rule2.GatewaySet(members=members))
+
+    def test_numpy_integer_member_accepted(self):
+        g = _graph([[1.0, 1.0], [1.5, 1.0]])
+        assert rule2.verify_cds(g, rule2.GatewaySet(members=(np.int64(1),))).dominating
 
 
 class TestIdPermutationSensitivity:
