@@ -62,7 +62,7 @@ delta = 0.1
 print(f"   two centers on a circle of radius {delta}; phi2 is the second")
 print("   center's polar angle (the first sits at angle pi):")
 for phi2 in np.linspace(0.0, math.pi, 7):
-    x = geo.omitted_area_at_angle((0.0, 0.0), delta, phi2)
+    x = geo.omitted_area_at_angle(delta, phi2)
     angle_between = math.pi - phi2
     print(f"   phi2 = {phi2:5.3f} (angle between = {angle_between:5.3f})   omitted = {x:.8f}")
 

@@ -32,7 +32,6 @@ __all__ = [
     "AreaEstimate",
     "dist",
     "lens_area",
-    "circle_intersection_points",
     "triple_disk_intersection_area",
     "omitted_area",
     "omitted_area_at_angle",
@@ -159,26 +158,6 @@ def lens_area(d: float) -> float:
     return 2.0 * _segment(2.0 * math.acos(0.5 * d)) if d < 2.0 else 0.0
 
 
-def circle_intersection_points(p, q) -> tuple[Point2D, Point2D]:
-    """The two points where the unit circles about ``p`` and ``q`` meet.
-
-    Requires 0 < d(p, q) < 2.  The chord joining the two returned points
-    is the perpendicular bisector of the segment p-q.
-    """
-    _require_finite(p, q)
-    d = dist(p, q)
-    if d <= 0.0 or d >= 2.0:
-        raise ValueError(f"circles at distance {d!r} do not meet in two points")
-    mx, my = 0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1])
-    ux, uy = (q[0] - p[0]) / d, (q[1] - p[1]) / d
-    h = math.sqrt(max(0.0, 1.0 - 0.25 * d * d))
-    # perpendicular to p->q, +90 degrees
-    return (
-        Point2D(mx - uy * h, my + ux * h),
-        Point2D(mx + uy * h, my - ux * h),
-    )
-
-
 def _segment(t: float) -> float:
     """(t - sin t) / 2, the area between a unit circle's arc of angle t and
     its chord; from its Taylor series below t = 1/2, precise as t -> 0."""
@@ -293,40 +272,38 @@ def omitted_area(o, q, u) -> float:
     return min(_region_area((o,), (q, u)), math.pi)
 
 
-def omitted_area_at_angle(center, delta: float, phi2: float) -> float:
-    """Omitted area for two disk centers sitting on the radius-``delta``
-    circle about ``center``, one at polar angle pi and one at ``phi2``.
-
-    The uncovered area shrinks as the angle between the two centers
-    grows, i.e. it is non-decreasing in ``phi2`` on [0, pi].
-    """
-    _require_finite(center)
+def _check_pair_angle(delta: float, phi2: float) -> None:
+    """Raise `ValueError` unless 0 < ``delta`` < 1 and 0 <= ``phi2`` <= pi."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     if not (0.0 <= phi2 <= math.pi):
         raise ValueError(f"phi2 must lie in [0, pi], got {phi2!r}")
-    o1 = Point2D(center[0] - delta, center[1])
-    o2 = Point2D(
-        center[0] + delta * math.cos(phi2),
-        center[1] + delta * math.sin(phi2),
-    )
-    return omitted_area(center, o1, o2)
+
+
+def omitted_area_at_angle(delta: float, phi2: float) -> float:
+    """Omitted area of the unit disk about the origin for two disk centers
+    on the radius-``delta`` circle about it, one at polar angle pi and one
+    at ``phi2``.
+
+    The uncovered area shrinks as the angle between the two centers
+    grows, i.e. it is non-decreasing in ``phi2`` on [0, pi].
+    """
+    _check_pair_angle(delta, phi2)
+    o2 = Point2D(delta * math.cos(phi2), delta * math.sin(phi2))
+    return omitted_area((0.0, 0.0), Point2D(-delta, 0.0), o2)
 
 
 def on_circle_pair_lens(delta: float, phi2: float) -> float:
     """Closed form 2y - sin(2y), cos y = delta*cos(phi2/2), for the
     intersection area of the two unit disks placed as in
-    `omitted_area_at_angle`.
+    `omitted_area_at_angle`, about the origin.
 
     Valid as the full pairwise lens whenever that lens lies inside the
     central unit disk (small ``phi2``); at phi2 = 0 it equals
     ``lens_area(2*delta)`` and at phi2 = pi (coincident centers) it
     equals pi.  Kept as an independent code path for identity checks.
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if not (0.0 <= phi2 <= math.pi):
-        raise ValueError(f"phi2 must lie in [0, pi], got {phi2!r}")
+    _check_pair_angle(delta, phi2)
     y = math.acos(delta * math.cos(0.5 * phi2))
     return 2.0 * y - math.sin(2.0 * y)
 

@@ -259,15 +259,14 @@ class TrialResult:
 def graph_trial(g, started: float | None = None) -> TrialResult:
     """Prune ``g`` and verify the CDS.  ``runtime_ms`` runs from the
     ``time.perf_counter()`` value ``started`` (default: the call), so that
-    `run_trial` can count sampling and building too; a graph without a
-    seed reports seed 0."""
+    `run_trial` can count sampling and building too."""
     if started is None:
         started = time.perf_counter()
     cds = prune(g)
     return TrialResult(
         n=g.n,
         side=g.square.side,
-        seed=g.seed if g.seed is not None else 0,
+        seed=g.seed,
         cds_size=cds.size,
         report=verify_cds(g, cds),
         runtime_ms=(time.perf_counter() - started) * 1000.0,

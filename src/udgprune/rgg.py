@@ -81,7 +81,7 @@ class UnitDiskGraph:
 
     points: np.ndarray
     square: SquareRegion
-    seed: int | None
+    seed: int
     edges: np.ndarray
     nbr_flat: np.ndarray = field(repr=False)
     nbr_offsets: np.ndarray = field(repr=False)
@@ -103,7 +103,8 @@ class UnitDiskGraph:
 
 
 # candidate pairs per pass of the cell join, and edges per pass of the CSR
-# fill: every transient array of `build_udg` is a small multiple of this
+# fill: each pass's arrays are a small multiple of this, but the edge codes
+# the join keeps grow with the edge count (see `build_udg`)
 _JOIN_BLOCK = 1 << 17
 
 
@@ -144,7 +145,7 @@ def _check_side(side: float) -> None:
 _LOW_WORD = (1 << 32) - 1
 
 
-def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None) -> UnitDiskGraph:
+def build_udg(points: np.ndarray, square: SquareRegion, seed: int = 0) -> UnitDiskGraph:
     """Build the unit disk graph on ``points`` (edge iff distance <= 1).
 
     The points are sorted by unit-cell key ``cx * (ncell + 1) + cy``, and
@@ -158,8 +159,10 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int | None = None)
     distance, no square root is taken, and a pass keeps only the int64
     codes (i << 32) | j of its edges.  Sorting the codes gives ``edges``
     in lexicographic (i, j) order, and the CSR is filled from ``edges`` in
-    passes too, so no transient array grows with the candidate set or the
-    edge count.
+    passes too.  So no transient array grows with the candidate set, but
+    the codes do grow with the edge count: 8 bytes per edge, joined into
+    one array that is alive together with ``edges`` until ``edges`` is
+    written from it.
 
     Raises `ValueError` for n >= 2^31 or a side of at least ``_MAX_SIDE``
     (about 3.04e9), before any array is made: vertex indices are int32,
@@ -329,8 +332,7 @@ def save_graph(g: UnitDiskGraph, path) -> None:
     load.
     """
     with open(path, "w") as fh:
-        seed = g.seed if g.seed is not None else 0
-        fh.write(f"{g.n} {float(g.square.side)!r} {seed}\n")
+        fh.write(f"{g.n} {float(g.square.side)!r} {g.seed}\n")
         for s in range(0, g.n, _SAVE_BLOCK):
             xs, ys = g.points[s : s + _SAVE_BLOCK].T.tolist()
             ids = range(s + 1, s + 1 + len(xs))

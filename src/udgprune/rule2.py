@@ -292,15 +292,19 @@ def verify_cds(g: UnitDiskGraph, c: GatewaySet) -> CdsReport:
 
     A singleton component of ``g`` can only be dominated by itself, so
     component preservation for isolated vertices is implied by the two
-    checks together.  A member that is not an integer, that repeats or
-    that lies outside 1..n raises `ValueError`.
+    checks together.  A member that is neither an `int` nor a numpy
+    integer (a bool is neither), that does not fit in int64, that repeats
+    or that lies outside 1..n raises `ValueError`.
     """
-    # no dtype is forced, so a float or bool id shows in the dtype rather
-    # than being truncated to an integer
-    member_arr = np.asarray(c.members) if c.members else np.empty(0, dtype=np.int64)
-    if member_arr.dtype.kind not in "iu":
-        odd = (m for m in c.members if isinstance(m, bool) or not isinstance(m, (int, np.integer)))
-        bad = next(odd, c.members[0])  # else an int past int64 made the dtype
+    # each member's own type is tested: `np.asarray` would promote a bool
+    # among ints to an int, and `np.bool_` is not an `np.integer`
+    bad = next((m for m in c.members if type(m) is not int and not isinstance(m, np.integer)), None)
+    if bad is None:
+        try:
+            member_arr = np.fromiter(c.members, np.int64, len(c.members))
+        except OverflowError:
+            bad = next(m for m in c.members if not -(1 << 63) <= m < 1 << 63)
+    if bad is not None:
         raise ValueError(f"gateway set contains an id that is not a 64-bit integer: {bad!r}")
     if len(member_arr) and (member_arr.min() < 1 or member_arr.max() > g.n):
         raise ValueError("gateway set contains ids outside the graph")

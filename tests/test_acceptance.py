@@ -141,7 +141,7 @@ def test_c03_monotonicity_suites():
     for _ in range(100):
         delta = float(rng.uniform(1e-4, 0.2))
         grid = np.sort(rng.uniform(0.0, math.pi, 24))
-        vals = [geo.omitted_area_at_angle((0.0, 0.0), delta, p) for p in grid]
+        vals = [geo.omitted_area_at_angle(delta, p) for p in grid]
         worst_angular = max(worst_angular, max(0.0, -min(np.diff(vals))))
     assert worst_angular <= 1e-9
 

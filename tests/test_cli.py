@@ -323,6 +323,10 @@ class TestGeomCheck:
         assert lines[0] == "check,statistic,bound,pass"
         assert len(lines) > 8
         assert all(line.endswith(",true") for line in lines[1:])
+        # the rows and their verdicts are pinned, as CI's cut of this run is;
+        # the statistics are not, since they pass through libm
+        rows = "".join(f"{name},{ok}\n" for name, *_, ok in (line.split(",") for line in lines))
+        assert rows == (DATA / "cli" / "geom_check_rows.csv").read_text()
 
     def test_byte_identical_reruns(self, tmp_path):
         blobs = []

@@ -59,7 +59,7 @@ def test_angular_monotonicity():
     for _ in range(100):
         delta = float(rng.uniform(1e-4, 0.2))
         grid = np.sort(rng.uniform(0.0, math.pi, 24))
-        vals = [geo.omitted_area_at_angle((0.0, 0.0), delta, p) for p in grid]
+        vals = [geo.omitted_area_at_angle(delta, p) for p in grid]
         worst = max(worst, max(0.0, -min(np.diff(vals))))
     assert worst <= 1e-9, worst
 
@@ -107,23 +107,6 @@ def test_clipping_never_increases_omitted_area():
         u = (o[0] + rng.uniform(-1.0, 1.0), o[1] + rng.uniform(-1.0, 1.0))
         est = geo.truncated_omitted_area(o, q, u, sq, samples=100_000, seed=8000 + k)
         assert est.value <= geo.omitted_area(o, q, u) + 3.0 * est.std_error, (k, est)
-
-
-def test_chord_geometry():
-    # 100 random unit-circle pairs: the intersection chord and the center
-    # segment are perpendicular bisectors of each other
-    rng = np.random.default_rng(15)
-    for _ in range(100):
-        p = rng.uniform(-3.0, 3.0, 2)
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        d = float(rng.uniform(1e-3, 1.999))
-        q = p + d * np.array([math.cos(ang), math.sin(ang)])
-        a, b = geo.circle_intersection_points(p, q)
-        mid_ab = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        mid_pq = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
-        assert geo.dist(mid_ab, mid_pq) <= 1e-12
-        dot = (a[0] - b[0]) * (p[0] - q[0]) + (a[1] - b[1]) * (p[1] - q[1])
-        assert abs(dot) <= 1e-12
 
 
 def test_omitted_area_symmetric_exactly():

@@ -206,7 +206,8 @@ class TestBuildUdg:
 
     def test_traced_peak_stays_small(self):
         # the paper's regime at n = 16000 (mean degree ~30, m ~ 240k): the
-        # graph itself holds ~3.9 MB, and no transient grows with m
+        # graph's adjacency holds ~4.1 MB; the per-pass transients are
+        # bounded, and the joined edge codes add 8 bytes per edge
         n = 16000
         sq = SquareRegion(rgg.ell_sqrt(n))
         pts = rgg.sample_points(n, sq, seed=14)

@@ -464,10 +464,20 @@ class TestVerifyCds:
             rule2.verify_cds(triangle, rule2.GatewaySet(members=(1, 9)))
 
     @pytest.mark.parametrize(
-        "members,bad", [((1.7,), 1.7), ((True,), True), ((1.0,), 1.0), ((2, 1.7), 1.7), ((2, "1"), "1")]
+        "members,bad",
+        [
+            ((1.7,), 1.7),
+            ((True,), True),
+            ((1.0,), 1.0),
+            ((2, 1.7), 1.7),
+            ((2, "1"), "1"),
+            ((2, True), True),
+            ((2**70,), 2**70),
+        ],
     )
     def test_non_integer_member_rejected(self, members, bad):
-        # an int64 conversion would read 1.7, True and 1.0 as vertex 1
+        # an int64 conversion would read 1.7, True and 1.0 as vertex 1, and
+        # numpy promotes a bool among ints to an int
         g = _graph([[1.0, 1.0], [1.5, 1.0]])
         with pytest.raises(ValueError, match=f"not a 64-bit integer: {bad!r}$"):
             rule2.verify_cds(g, rule2.GatewaySet(members=members))
@@ -475,6 +485,7 @@ class TestVerifyCds:
     def test_numpy_integer_member_accepted(self):
         g = _graph([[1.0, 1.0], [1.5, 1.0]])
         assert rule2.verify_cds(g, rule2.GatewaySet(members=(np.int64(1),))).dominating
+        assert rule2.verify_cds(g, rule2.GatewaySet(members=(np.int32(1),))).dominating
 
 
 class TestIdPermutationSensitivity:
