@@ -3,11 +3,13 @@
 Vertices carry 1-based integer IDs; ID order is the total order the
 pruning rule uses.  Adjacency joins vertices at Euclidean distance <= 1.
 It is built by a cell join: the points are sorted by unit-side cell key,
-and each point is joined with two runs of consecutive keys found by
-``searchsorted``, so a radius-1 query touches at most a 3x3 block of
-cells and no Python loop runs per cell.  The join and the adjacency
-fill run in passes of bounded size, and vertex indices are int32; the
-join's passes are cut by `_blocks`, which cuts `rule2.prune`'s blocks too.
+and each point is joined with two runs of consecutive keys, whose slot
+bounds are found by ``searchsorted`` once per occupied cell and read back
+per point through its cell, so a radius-1 query touches at most a 3x3
+block of cells and no Python loop runs per cell.  The join and the
+adjacency fill run in passes of bounded size, and vertex indices are
+int32; the join's passes are cut by `_blocks`, which cuts `rule2.prune`'s
+blocks too.
 `components` is a union-find over passes of edges, in numpy alone.  A
 constructed graph is immutable and safe to share across workers.
 `save_graph` and `load_graph` move a graph through a text file of its
@@ -145,24 +147,49 @@ def _check_side(side: float) -> None:
 _LOW_WORD = (1 << 32) - 1
 
 
+def _key_runs(skey: np.ndarray, stride: int):
+    """Per point of the sorted keys ``skey``, its partner slot range [lo, hi)
+    in each of its two runs of keys: the rest of its own cell and its N
+    cell, then its SE, E and NE cells (a NW pair is the other point's SE
+    pair).  A run's bounds are searched once per occupied cell, over the
+    distinct keys, and read back per point through its cell; the per-cell
+    arrays are freed when the second run is done."""
+    n = len(skey)
+    # the occupied cells in key order: each one's first slot, and each
+    # point's cell; ``start`` ends with n, the end of the last cell
+    new = np.diff(skey, prepend=-1) != 0
+    start = np.append(np.flatnonzero(new), n)
+    ukey = np.take(skey, start[:-1])
+    cell = np.cumsum(new)
+    cell -= 1
+
+    def bound(last, side):
+        # the slot where the cells up to key + ``last`` end ("right") or
+        # the cells from it start ("left")
+        return np.take(np.take(start, np.searchsorted(ukey, ukey + last, side=side)), cell)
+
+    yield np.arange(1, n + 1), bound(1, "right")
+    yield bound(stride - 1, "left"), bound(stride + 1, "right")
+
+
 def build_udg(points: np.ndarray, square: SquareRegion, seed: int = 0) -> UnitDiskGraph:
     """Build the unit disk graph on ``points`` (edge iff distance <= 1).
 
-    The points are sorted by unit-cell key ``cx * (ncell + 1) + cy``, and
-    each point is joined with two runs of consecutive keys: the points
-    after it in its own cell and its N cell, then its SE, E and NE cells.
-    A NW pair is the other point's SE pair, so each pair of neighbouring
-    cells is joined exactly once.  A run's slot ranges come from
-    ``searchsorted`` on the sorted keys, and it is joined in passes of
-    about ``_JOIN_BLOCK`` candidate pairs, cut by `_blocks`, with no Python
-    loop over cells or points.  Candidates are filtered on squared
-    distance, no square root is taken, and a pass keeps only the int64
-    codes (i << 32) | j of its edges.  Sorting the codes gives ``edges``
-    in lexicographic (i, j) order, and the CSR is filled from ``edges`` in
-    passes too.  So no transient array grows with the candidate set, but
-    the codes do grow with the edge count: 8 bytes per edge, joined into
-    one array that is alive together with ``edges`` until ``edges`` is
-    written from it.
+    The points are sorted by unit-cell key ``cx * (ncell + 1) + cy``, in
+    any order within a cell, and each point is joined with two runs of
+    consecutive keys: the points after it in its own cell and its N cell,
+    then its SE, E and NE cells.  A NW pair is the other point's SE pair,
+    so each pair of neighbouring cells is joined exactly once.  A run's
+    slot ranges come from `_key_runs`, and it is joined in passes of about
+    ``_JOIN_BLOCK`` candidate pairs, cut by `_blocks`, with no Python loop
+    over cells or points.  Candidates are filtered on squared distance, no
+    square root is taken, and a pass keeps only the int64 codes
+    (i << 32) | j of its edges.  Sorting the codes gives ``edges`` in
+    lexicographic (i, j) order, whatever order the points had within a
+    cell, and the CSR is filled from ``edges`` in passes too.  So no
+    transient array grows with the candidate set, but the codes do grow
+    with the edge count: 8 bytes per edge, joined into one array that is
+    alive together with ``edges`` until ``edges`` is written from it.
 
     Raises `ValueError` for n >= 2^31 or a side of at least ``_MAX_SIDE``
     (about 3.04e9), before any array is made: vertex indices are int32,
@@ -187,16 +214,13 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int = 0) -> UnitDi
     # cell, so a run of keys never reaches a cell that is not a neighbour
     stride = ncell + 1
     key = cx * stride + cy
-    order = np.argsort(key, kind="stable").astype(np.int32)
-    skey = key[order]
+    # the order within a cell is free: the edge codes are sorted below
+    order = np.argsort(key).astype(np.int32)
+    skey = np.take(key, order)
     sx, sy = np.take(points, order, axis=0).T.copy()
 
     codes = [np.empty(0, dtype=np.int64)]  # so that n = 0, with no pass, joins too
-    # partner slot ranges [lo, hi) in sorted order, one per point and run of
-    # keys: the rest of its own cell and its N cell, then its SE, E and NE
-    # cells (a NW pair is the other point's SE pair)
-    for lo, last in ((np.arange(1, n + 1), 1), (np.searchsorted(skey, skey + stride - 1), stride + 1)):
-        hi = np.searchsorted(skey, skey + last, side="right")
+    for lo, hi in _key_runs(skey, stride):
         count = hi - lo
         for blk in _blocks(count, _JOIN_BLOCK):
             # one candidate per (point in blk, partner slot sj)
@@ -204,11 +228,11 @@ def build_udg(points: np.ndarray, square: SquareRegion, seed: int = 0) -> UnitDi
             sj = np.repeat(lo[blk] - (np.cumsum(c) - c), c)
             sj += np.arange(len(sj))
             dx = np.repeat(sx[blk], c)
-            dx -= sx[sj]
+            dx -= np.take(sx, sj)
             dy = np.repeat(sy[blk], c)
-            dy -= sy[sj]
+            dy -= np.take(sy, sj)
             keep = np.flatnonzero(_sq_dist(dx, dy) <= 1.0)
-            i, j = np.repeat(order[blk], c)[keep], order[sj[keep]]
+            i, j = np.take(np.repeat(order[blk], c), keep), np.take(order, np.take(sj, keep))
             code = np.minimum(i, j).astype(np.int64)
             code <<= 32
             code |= np.maximum(i, j)
@@ -289,12 +313,12 @@ def _component_labels(n: int, edges: np.ndarray) -> tuple[int, np.ndarray]:
     step = max(n, _JOIN_BLOCK)
     for s in range(0, len(edges), step):
         lo, hi = edges[s : s + step].T
-        ru, rv = parent[lo], parent[hi]
+        ru, rv = np.take(parent, lo), np.take(parent, hi)
         while True:
             join = np.flatnonzero(ru != rv)
             if not len(join):
                 break
-            ru, rv = ru[join], rv[join]
+            ru, rv = np.take(ru, join), np.take(rv, join)
             # both ends are roots; hang the larger on the smaller.  Where hi
             # repeats, one lo wins and the others' edges stay for the next
             # round, but every candidate is below hi, so pointers only fall
@@ -303,16 +327,16 @@ def _component_labels(n: int, edges: np.ndarray) -> tuple[int, np.ndarray]:
             hi = np.maximum(ru, rv, out=rv)
             parent[hi] = lo
             while True:
-                jumped = parent[parent]
+                jumped = np.take(parent, parent)
                 if np.array_equal(jumped, parent):
                     break
                 parent = jumped
-            ru, rv = parent[lo], parent[hi]
+            ru, rv = np.take(parent, lo), np.take(parent, hi)
     # each root is its component's smallest vertex
     roots = parent == np.arange(n)
     labels = np.cumsum(roots, dtype=np.int32)
     labels -= 1
-    return int(np.count_nonzero(roots)), labels[parent]
+    return int(np.count_nonzero(roots)), np.take(labels, parent)
 
 
 # vertices formatted per write in `save_graph`: a block's floats and lines

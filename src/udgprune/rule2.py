@@ -11,8 +11,10 @@ pass, and decides them in two loops, each with its own block size.
 First, each vertex with enough higher neighbours tries witness pairs, as
 in the paper's argument: its nearest higher neighbour a and the higher
 neighbour adjacent to a on the opposed side of i, and, if those miss a
-member, a and the partner of a nearest the member farthest from a.  Then
-each vertex left gets, for each higher-ID neighbour a, a bit mask over
+member, a and the partner of a nearest the member farthest from a.  The
+rows those pairs leave go straight on to the second loop, where they
+join the rows of the vertices with too few higher neighbours for the
+pairs: each vertex gets, for each higher-ID neighbour a, a bit mask over
 N[i] of the members a does not cover, and it is excluded when two
 adjacent such neighbours have masks with no common bit; the partners of
 a are enumerated among the higher neighbours after it, which are
@@ -107,13 +109,14 @@ _MASK_CELLS = 1 << 16
 # fewest higher neighbours for which `prune` tries the witness pairs first:
 # the tries cost a few passes over a row of width deg+1, and the miss masks
 # they may save cost one such pass per higher neighbour, so below this the
-# tries cost more than they save.  Measured with the two loops on sqrt-side
-# graphs (medians of alternating pairs against 6, 40 pairs at n = 16000 and
-# 10 at 256000): 4 took 0.7% less at 16000 (faster in 11 of 40 pairs) and
-# 3.9% more at 256000 (seed 12345); 8 took 1.0% and 2.9% less at 16000
-# (seeds 12345 and 7) but 0.2% and 3.3% more at 256000, so neither wins at
-# both sizes.
-_WITNESS_MIN_UP = 6
+# tries cost more than they save.  Measured with the rows the witness pairs
+# leave handed straight to the masks, on sqrt-side graphs (medians of
+# in-process alternating calls against 6; 40 rounds at n = 16000, 10 and 20
+# at 256000): 8 took 0.8% and 0.5% less at 16000 (seeds 12345 and 7,
+# faster in 29 of 40 rounds each) and 0.9%, 1.5% and 2.3% less at 256000
+# (seeds 12345, 7 and 3; faster in 5 of 10, 6 of 10 and 13 of 20); 4 took
+# 3.4-3.8% more at 16000 and 0.0-3.5% more at 256000.
+_WITNESS_MIN_UP = 8
 
 
 def prune(g: UnitDiskGraph) -> GatewaySet:
@@ -124,8 +127,10 @@ def prune(g: UnitDiskGraph) -> GatewaySet:
     loops, each over blocks cut by `rgg._blocks` (which cuts `build_udg`'s
     join passes too), so memory stays bounded at any degree.  The rows of
     a block have nearly equal width, so little of a block is padding.
-    Each block gathers its rows of N[i] = [i] + nbr(i) in one pass
-    (`_closed_rows`).
+    Each row of N[i] = [i] + nbr(i) is gathered once (`_closed_rows`): a
+    witness block's rows that loop 1 leaves are handed to loop 2 by
+    `_witness_then_masks`, and only the candidates with fewer than
+    ``_WITNESS_MIN_UP`` higher neighbours are gathered by loop 2 itself.
 
     1. Witness pairs, in blocks of about ``_WITNESS_CELLS`` (row, slot)
        cells, over the candidates with at least ``_WITNESS_MIN_UP`` higher
@@ -138,7 +143,8 @@ def prune(g: UnitDiskGraph) -> GatewaySet:
        excludes i if D_a and D_b' cover N[i].  These settle most excluded
        vertices at a few passes per row.
     2. Miss masks, in blocks of about ``_MASK_CELLS`` (up-pair, slot)
-       cells, over the candidates loop 1 skipped or did not exclude: each
+       cells over the candidates loop 1 skipped, and in sub-blocks of that
+       size over the rows of each witness block it did not exclude: each
        up-pair (i, a), with a a neighbour of i and a > i, gets a mask over
        N[i] with a bit for each member that a does not cover, packed into
        ceil(|N[i]| / 64) uint64 words.  The partners b of a are the higher
@@ -164,16 +170,17 @@ def prune(g: UnitDiskGraph) -> GatewaySet:
     # a covering pair needs two higher-ID neighbours
     cand = np.flatnonzero(up >= 2)
     cand = cand[np.argsort(deg[cand], kind="stable")]
-    first = cand[up[cand] >= _WITNESS_MIN_UP]
+    witness = up[cand] >= _WITNESS_MIN_UP
+    first = np.compress(witness, cand)
     for blk in _blocks(deg[first] + 1, _WITNESS_CELLS):
         verts = first[blk]
         xs, ys = _closed_rows(g, px, py, verts, deg[verts])
-        excluded[verts[_witness_covers(xs, ys, low[verts])]] = True
-    rest = cand[~excluded[cand]]
+        excluded[verts[_witness_then_masks(xs, ys, low[verts], up[verts])]] = True
+    rest = np.compress(~witness, cand)
     for blk in _blocks(up[rest] * (deg[rest] + 1), _MASK_CELLS):
         verts = rest[blk]
         xs, ys = _closed_rows(g, px, py, verts, deg[verts])
-        excluded[verts[_masks_cover(xs, ys, low[verts], up[verts])]] = True
+        excluded[verts[_masks_cover(xs, ys, np.arange(len(verts)), low[verts], up[verts])]] = True
     return GatewaySet(members=tuple((np.flatnonzero(~excluded) + 1).tolist()))
 
 
@@ -222,6 +229,20 @@ def _witness_covers(xs, ys, low) -> np.ndarray:
     return covered
 
 
+def _witness_then_masks(xs, ys, low, up) -> np.ndarray:
+    """Both loops of `prune` on one witness block's rows from
+    `_closed_rows`: mask of the rows excluded.  The rows the witness pairs
+    leave go on to `_masks_cover` in sub-blocks of about ``_MASK_CELLS``
+    (up-pair, slot) cells, which it takes from the block by `np.take`
+    along axis 0, so no row is gathered twice."""
+    covered = _witness_covers(xs, ys, low)
+    left = np.flatnonzero(~covered)
+    for blk in _blocks(up[left] * xs.shape[1], _MASK_CELLS):
+        rows = left[blk]
+        covered[rows] = _masks_cover(xs, ys, rows, low[rows], up[rows])
+    return covered
+
+
 def _pair_covers(xs, ys, da, partner, score) -> np.ndarray:
     """Mask of the rows where a and the partner b with the least ``score``
     cover N[i]; ``da`` holds the squared distances from a."""
@@ -233,13 +254,16 @@ def _pair_covers(xs, ys, da, partner, score) -> np.ndarray:
     return np.take(partner, b) & ~missed.any(axis=1)
 
 
-def _masks_cover(xs, ys, low, up) -> np.ndarray:
-    """Loop 2 of `prune` on rows from `_closed_rows`: mask of the rows
-    where some up-pair's miss mask and a partner's have no common bit."""
+def _masks_cover(xs, ys, rows, low, up) -> np.ndarray:
+    """Loop 2 of `prune` on the rows ``rows`` of a block from
+    `_closed_rows`, with their ``low`` and ``up``: mask over ``rows`` of
+    those where some up-pair's miss mask and a partner's have no common
+    bit."""
     width = xs.shape[1]
     # one row per up-pair (i, a): a is the rank-th higher neighbour of i,
-    # in column ``col`` of row ``row``
-    row = np.repeat(np.arange(len(xs)), up)
+    # in column ``col`` of row ``row`` of xs, the ``which``-th of ``rows``
+    which = np.repeat(np.arange(len(rows)), up)
+    row = np.take(rows, which)
     rank = np.arange(len(row)) - np.repeat(np.cumsum(up) - up, up)
     col = rank + np.repeat(low + 1, up)
     cell = row * width + col
@@ -248,6 +272,9 @@ def _masks_cover(xs, ys, low, up) -> np.ndarray:
     dy = np.take(ys, row, axis=0)
     dy -= np.take(ys, cell)[:, None]
     d2 = _sq_dist(dx, dy)
+    # dy is spent: freed before the masks, which run beside the rows of the
+    # witness block that handed them on
+    del dy
 
     miss = np.zeros((len(row), -(-width // 64) * 64), dtype=bool)
     np.greater(d2, 1.0, out=miss[:, :width])
@@ -262,8 +289,8 @@ def _masks_cover(xs, ys, low, up) -> np.ndarray:
     adjacent = np.take(d2, p * width + np.take(col, q)) <= 1.0
     p, q = np.compress(adjacent, p), np.compress(adjacent, q)
     hit = ~(np.take(words, p, axis=0) & np.take(words, q, axis=0)).any(axis=1)
-    covered = np.zeros(len(xs), dtype=bool)
-    covered[row[p[hit]]] = True
+    covered = np.zeros(len(rows), dtype=bool)
+    covered[which[p[hit]]] = True
     return covered
 
 
@@ -296,10 +323,14 @@ def verify_cds(g: UnitDiskGraph, c: GatewaySet) -> CdsReport:
     integer (a bool is neither), that does not fit in int64, that repeats
     or that lies outside 1..n raises `ValueError`.
     """
-    # each member's own type is tested: `np.asarray` would promote a bool
-    # among ints to an int, and `np.bool_` is not an `np.integer`
-    bad = next((m for m in c.members if type(m) is not int and not isinstance(m, np.integer)), None)
-    if bad is None:
+    # each member's own type is tested, once per distinct type: `np.asarray`
+    # would promote a bool among ints to an int, and `np.bool_` is not an
+    # `np.integer`; the first bad member is looked for only if a type fails
+    bad = None
+    bad_types = {t for t in set(map(type, c.members)) if t is not int and not issubclass(t, np.integer)}
+    if bad_types:
+        bad = next(m for m in c.members if type(m) in bad_types)
+    else:
         try:
             member_arr = np.fromiter(c.members, np.int64, len(c.members))
         except OverflowError:
@@ -309,17 +340,17 @@ def verify_cds(g: UnitDiskGraph, c: GatewaySet) -> CdsReport:
     if len(member_arr) and (member_arr.min() < 1 or member_arr.max() > g.n):
         raise ValueError("gateway set contains ids outside the graph")
     in_c = np.zeros(g.n, dtype=bool)
-    in_c[member_arr - 1] = True
+    np.put(in_c, member_arr - 1, True)
     if np.count_nonzero(in_c) != len(member_arr):
         raise ValueError("gateway set contains duplicate ids")
 
     n_graph, _ = components(g)  # first, so ci and cj do not add 2m bytes to its peak
 
     ei, ej = g.edges[:, 0], g.edges[:, 1]
-    ci, cj = in_c[ei], in_c[ej]
+    ci, cj = np.take(in_c, ei), np.take(in_c, ej)
     covered = in_c.copy()
-    covered[ei[cj]] = True
-    covered[ej[ci]] = True
+    np.put(covered, np.compress(cj, ei), True)
+    np.put(covered, np.compress(ci, ej), True)
     dominating = bool(covered.all())
     # over all n vertices, each vertex outside C is a component of its own
     n_all, _ = _component_labels(g.n, np.compress(ci & cj, g.edges, axis=0))

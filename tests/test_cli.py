@@ -45,6 +45,8 @@ GOLDEN_RUNS = [
     (["run-rule2", "--n", "4000", "--side", "30", "--seed", "11"], "run_rule2_sampled.json", None),
     # the paper's regime: side sqrt(n / ln n), mean degree about 30
     (["run-rule2", "--n", "16000", "--side", "40.66", "--seed", "3"], "run_rule2_sqrt.json", None),
+    # a sparse square (mean degree about 0.9): many empty cells and keys
+    (["run-rule2", "--n", "3000", "--side", "100", "--seed", "5"], "run_rule2_sparse.json", None),
     (["run-rule2", "--graph", GOLDEN_GRAPH], "run_rule2_graph.json", None),
     (["verify", "--graph", GOLDEN_GRAPH], "verify_graph.json", None),
     # every third member of Rule 2's set: neither dominating nor connected

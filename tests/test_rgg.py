@@ -126,6 +126,43 @@ class TestBuildUdg:
         g = rgg.build_udg(pts, SquareRegion(side))
         assert np.array_equal(g.edges, rgg.brute_force_edges(pts))
 
+    @staticmethod
+    def _coincident():
+        # 40 distinct points, each drawn 1 to 6 times, shuffled: exact key
+        # ties, so the order the key sort leaves within a cell is free
+        rng = np.random.default_rng(21)
+        base = rng.random((40, 2)) * 4.0
+        return SquareRegion(4.0), base[rng.permutation(np.repeat(np.arange(40), rng.integers(1, 7, 40)))]
+
+    @staticmethod
+    def _one_cell():
+        # 200 points in the unit cell [2, 3)^2, a complete graph
+        return SquareRegion(6.0), 2.0 + np.random.default_rng(22).random((200, 2))
+
+    @staticmethod
+    def _far_apart():
+        # 50 points in a square of side 1e4: long runs of empty keys between
+        # the occupied cells, and one close pair across a cell edge
+        pts = np.random.default_rng(23).random((50, 2)) * 1e4
+        pts[1] = pts[0] + 0.6
+        assert (np.floor(pts[0]) != np.floor(pts[1])).any()
+        return SquareRegion(1e4), pts
+
+    @staticmethod
+    def _single():
+        return SquareRegion(2.0), np.array([[2.0, 2.0]])
+
+    @pytest.mark.parametrize("make", ["_coincident", "_one_cell", "_far_apart", "_single"])
+    def test_cell_ranges_match_brute_force(self, make):
+        # each occupied cell's run bounds are searched once and read back
+        # per point through its cell
+        sq, pts = getattr(self, make)()
+        g = rgg.build_udg(pts, sq)
+        expected = rgg.brute_force_edges(pts)
+        assert np.array_equal(g.edges, expected)
+        assert len(expected) > 0 or len(pts) == 1
+        _check_row_split(g)
+
     def test_index_dtypes(self):
         sq = SquareRegion(6.0)
         g = rgg.build_udg(rgg.sample_points(300, sq, seed=12), sq)

@@ -307,27 +307,49 @@ class TestDegreeOrderedBlocks:
         n = 2000
         sq = SquareRegion(rgg.ell_sqrt(n))
         g = rgg.build_udg(rgg.sample_points(n, sq, seed=4), sq)
-        deg, up = np.diff(g.nbr_offsets), _up_counts(g)
-        # the witness pairs on all their candidates at once, as one block
-        first = np.flatnonzero(up >= rule2._WITNESS_MIN_UP)
-        xs, ys = rule2._closed_rows(g, *_padded_columns(g), first, deg[first])
-        left = first[~rule2._witness_covers(xs, ys, deg[first] - up[first])]
-        assert 0 < len(left) < len(first)
-
+        up = _up_counts(g)
+        witness_covers = rule2._witness_covers
         monkeypatch.setattr(rule2, "_WITNESS_CELLS", 1 << 10)
         monkeypatch.setattr(rule2, "_MASK_CELLS", 1 << 10)
         log = []
         _record(monkeypatch, log, "_closed_rows", "_witness_covers", "_masks_cover")
         rule2.prune(g)
-        # each block gathers its rows, then one loop decides them
-        assert [name for name, _ in log[::2]] == ["_closed_rows"] * (len(log) // 2)
-        loops = [name for name, _ in log[1::2]]
-        n_first = loops.count("_witness_covers")
-        assert n_first > 1 and loops == ["_witness_covers"] * n_first + ["_masks_cover"] * (len(loops) - n_first)
-        verts = [args[3] for _, args in log[::2]]
-        np.testing.assert_array_equal(np.sort(np.concatenate(verts[:n_first])), first)
-        want = np.union1d(np.flatnonzero((up >= 2) & (up < rule2._WITNESS_MIN_UP)), left)
-        np.testing.assert_array_equal(np.sort(np.concatenate(verts[n_first:])), want)
+
+        # each witness block gathers its rows once, and the rows the witness
+        # pairs leave go straight on to the masks, in order and sub-blocks
+        names = [name for name, _ in log]
+        first, n_left, k = [], 0, 0
+        while names[k + 1] == "_witness_covers":
+            assert names[k] == "_closed_rows"
+            verts, (xs, ys, low) = log[k][1][3], log[k + 1][1]
+            first.append(verts)
+            left = np.flatnonzero(~witness_covers(xs, ys, low))
+            k += 2
+            taken = 0
+            while k < len(log) and names[k] == "_masks_cover":
+                mxs, mys, rows, mlow, mup = log[k][1]
+                assert mxs is xs and mys is ys
+                np.testing.assert_array_equal(rows, left[taken : taken + len(rows)])
+                np.testing.assert_array_equal(mlow, low[rows])
+                np.testing.assert_array_equal(mup, up[verts[rows]])
+                taken += len(rows)
+                k += 1
+            assert taken == len(left)
+            n_left += taken
+        assert len(first) > 1
+        np.testing.assert_array_equal(np.sort(np.concatenate(first)), np.flatnonzero(up >= rule2._WITNESS_MIN_UP))
+        assert 0 < n_left < sum(map(len, first))
+
+        # the only later gathers: the candidates too low for the witness pairs
+        rest = log[k:]
+        assert [name for name, _ in rest] == ["_closed_rows", "_masks_cover"] * (len(rest) // 2)
+        for (_, gathered), (_, (_, _, rows, _, _)) in zip(rest[::2], rest[1::2]):
+            np.testing.assert_array_equal(rows, np.arange(len(gathered[3])))
+        verts = np.concatenate([args[3] for _, args in rest[::2]])
+        np.testing.assert_array_equal(
+            np.sort(verts), np.flatnonzero((up >= 2) & (up < rule2._WITNESS_MIN_UP))
+        )
+        assert len(verts) == len(np.unique(verts))
 
     def test_rows_are_i_then_neighbours_then_nan(self):
         g = _mixed_degree_graph()
@@ -346,7 +368,8 @@ class TestDegreeOrderedBlocks:
 
     def test_traced_peak_stays_small(self):
         # the paper's regime at n = 16000 (mean degree ~30): the blocks'
-        # transients and the two padded coordinate columns
+        # transients, a witness block's rows while the masks decide the
+        # rows it left, and the two padded coordinate columns
         n = 16000
         sq = SquareRegion(rgg.ell_sqrt(n))
         g = rgg.build_udg(rgg.sample_points(n, sq, seed=1), sq)
@@ -407,12 +430,13 @@ class TestWitnessPhase:
         assert excluded & set((verts[~by_either] + 1).tolist())
 
     def test_witness_pair_must_cover_exactly(self):
-        # vertex 2 has six higher neighbours on a line through it; its
-        # witness pair is a (+0.05) and b (-0.0501), and vertex 1 lies
-        # just outside both of their disks (squared distances 1.00005 and
-        # 1.00006), as it does for every other pair, so vertex 2 is kept
+        # vertex 2 has ``_WITNESS_MIN_UP`` higher neighbours on a line
+        # through it; its witness pair is a (+0.05) and b (-0.0501), and
+        # vertex 1 lies just outside both of their disks (squared distances
+        # 1.00005 and 1.00006), as it does for every other pair, so vertex 2
+        # is kept
         above = np.sqrt(0.99755)
-        offsets = [0.05, -0.0501, 0.06, 0.07, 0.08, -0.09]
+        offsets = [0.05, -0.0501] + [(-1) ** k * (0.06 + 0.01 * k) for k in range(rule2._WITNESS_MIN_UP - 2)]
         g = _graph([[2.0, 2.0 + above], [2.0, 2.0]] + [[2.0 + d, 2.0] for d in offsets], side=4.0)
         assert _up_counts(g)[1] == rule2._WITNESS_MIN_UP
         assert 2 in rule2.brute_force_prune(g).members
