@@ -20,6 +20,7 @@ here is safe to call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -102,6 +103,8 @@ class SectorFrame:
         _require_finite(self.center)
         if self.b < 2:
             raise ValueError(f"size parameter b must be an integer >= 2, got {self.b!r}")
+        if self.b > sys.float_info.max:
+            raise ValueError(f"size parameter b={self.b} exceeds the float range")
         if self.count < 1:
             raise ValueError(f"b={self.b} too small: derived sector count is zero")
 
@@ -309,11 +312,9 @@ def on_circle_pair_lens(delta: float, phi2: float) -> float:
 
 
 def _cap_area(t: float) -> float:
-    """Area of the unit disk where one coordinate is >= t."""
+    """Area of the unit disk where one coordinate is >= t, for t < 1."""
     if t <= -1.0:
         return math.pi
-    if t >= 1.0:
-        return 0.0
     return math.acos(t) - t * math.sqrt(1.0 - t * t)
 
 
@@ -446,9 +447,12 @@ def sector_of(frame: SectorFrame, p) -> Optional[tuple[str, int]]:
 
     Returns ("Q", i) or ("R", i) for points inside the small disk, or
     None for points beyond radius ``delta``.  The center itself has no
-    sector and raises.  Angles exactly on a shared sector edge resolve to
-    the lower index, and the edge shared by the two families resolves to
-    the Q family.
+    sector and raises.  Both families come from one quotient
+    t = atan2(dy, dx) / theta in (-count, count]: the sector number
+    k = ceil(t - 1/2) puts a point on an edge shared by two sectors in the
+    lower one, a negative k wraps by 2 * count, and k < count is (Q, k),
+    else (R, k - count).  The edge t = -1/2, between (R, count - 1) and
+    (Q, 0), goes to (Q, 0).
     """
     _require_finite(p)
     dx, dy = p[0] - frame.center[0], p[1] - frame.center[1]
@@ -457,26 +461,10 @@ def sector_of(frame: SectorFrame, p) -> Optional[tuple[str, int]]:
         raise ValueError("the frame center has no sector")
     if r2 > frame.delta * frame.delta:
         return None
-    theta = math.atan2(dy, dx)  # (-pi, pi]
-    family_q = _sector_index(theta, frame)
-    if family_q is not None:
-        return ("Q", family_q)
-    reflected = theta - math.pi if theta > 0.0 else theta + math.pi
-    idx = _sector_index(reflected, frame)
-    if idx is None:  # numerical edge between families: snap to nearest
-        idx = min(frame.count - 1, max(0, int(round(reflected / frame.theta))))
-    return ("R", idx)
-
-
-def _sector_index(theta: float, frame: SectorFrame) -> Optional[int]:
-    """Index i with (i - 1/2)*theta_b <= theta <= (i + 1/2)*theta_b, or None."""
-    t = theta / frame.theta
-    if t < -0.5 or t > frame.count - 0.5:
-        return None
-    i = math.floor(t + 0.5)
-    if t == i - 0.5 and i > 0:
-        i -= 1  # boundary ties go to the lower index
-    return min(int(i), frame.count - 1)
+    t = math.atan2(dy, dx) / frame.theta
+    # ceil(t - 1/2) as ceil(2t) // 2, which rounds nowhere
+    k = 0 if t == -0.5 else (math.ceil(2.0 * t) // 2) % (2 * frame.count)
+    return ("Q", k) if k < frame.count else ("R", k - frame.count)
 
 
 def extreme_points(frame: SectorFrame, i: int) -> tuple[Point2D, Point2D]:

@@ -49,14 +49,13 @@ __all__ = [
 @dataclass(frozen=True)
 class ColoredSample:
     """w white + b blue points drawn uniformly from the clipped unit disk
-    about ``center``, with the sector frame used to read core statistics.
+    about ``center`` = ``frame.center``, the frame that reads core statistics.
 
     ``core`` holds the indices, in increasing order, of the blue points
     within ``frame.delta`` of the center, decided by the float expression
     `sector_of` uses, so it labels every core point but the center.
     """
 
-    center: Point2D
     square: SquareRegion
     white: np.ndarray  # (w, 2)
     blue: np.ndarray   # (b, 2)
@@ -64,9 +63,13 @@ class ColoredSample:
     core: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = self.frame.center
+        c = self.center
         d2 = _sq_dist(self.blue[:, 0] - c[0], self.blue[:, 1] - c[1])
         object.__setattr__(self, "core", np.flatnonzero(d2 <= self.frame.delta * self.frame.delta))
+
+    @property
+    def center(self) -> Point2D:
+        return self.frame.center
 
     @property
     def w(self) -> int:
@@ -154,9 +157,7 @@ def sample_colored(center, square: SquareRegion, w: int, b: int, seed: int) -> C
         )
     rng = np.random.default_rng(seed)
     pts, _ = sample_truncated_disk(center, square, w + b, rng)
-    return ColoredSample(
-        center=center, square=square, white=pts[:w], blue=pts[w:], frame=frame
-    )
+    return ColoredSample(square=square, white=pts[:w], blue=pts[w:], frame=frame)
 
 
 def sector_stats(sample: ColoredSample) -> SectorStats:

@@ -10,6 +10,7 @@ import pytest
 from udgprune import geometry, rgg
 from udgprune.cli import main
 from udgprune.geometry import SquareRegion
+from udgprune.util import atomic_write_text
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_GRAPH = str(DATA / "golden_graph.txt")
@@ -60,6 +61,13 @@ GOLDEN_RUNS = [
          "--side", "10", "--trials", "20", "--seed", "2"],
         "local_coverage.csv",
         "local_coverage_summary.json",
+    ),
+    # one sector pair (delta about 0.631), and matched pairs more than 1 apart
+    (
+        ["local-coverage", "--b", "3", "--w", "5", "--ox", "5", "--oy", "5",
+         "--side", "10", "--trials", "200", "--seed", "4"],
+        "local_coverage_b3.csv",
+        "local_coverage_b3_summary.json",
     ),
 ]
 
@@ -209,6 +217,26 @@ class TestLocalCoverage:
                 "--trials", "2", "--seed", "1",
             ]
         ) == 1
+
+    @pytest.mark.parametrize(
+        "flag,value,problem",
+        [("--b", "1" + "0" * 400, "exceeds the float range"), ("--trials", "0", "trials >= 1")],
+        ids=["b1e400", "trials0"],
+    )
+    def test_bad_value_exits_one(self, capsys, flag, value, problem):
+        args = {"--b": "10", "--w": "0", "--ox": "5", "--oy": "5", "--side": "10", "--trials": "1", "--seed": "1"}
+        args[flag] = value
+        assert main(["local-coverage", *(tok for item in args.items() for tok in item)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and problem in captured.err
+
+
+def test_atomic_write_leaves_nothing_when_the_write_raises(tmp_path):
+    target = tmp_path / "out.txt"
+    with pytest.raises(TypeError):
+        atomic_write_text(target, None)  # the file object's write raises
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:

@@ -192,6 +192,12 @@ class TestOmittedAreaAtAngle:
         )
         assert abs(v - est.value) <= 3.0 * est.std_error
 
+    @pytest.mark.parametrize("fn", [geo.omitted_area_at_angle, geo.on_circle_pair_lens])
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_delta_domain(self, fn, delta):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            fn(delta, 0.5)
+
 
 class TestOnCirclePairLens:
     def test_opposite_centers_identity(self):
@@ -233,6 +239,24 @@ class TestTruncatedDiskArea:
         sq = geo.SquareRegion(0.5)
         assert geo.truncated_disk_area((0.25, 0.25), sq) == pytest.approx(0.25, abs=1e-12)
 
+    def test_caps_are_cut_below_one(self, monkeypatch):
+        # `_quadrant_area` returns 0 for x >= 1 or y >= 1 before it asks for
+        # a cap, so centres on the edges, at the corners and at -0.0 never
+        # reach a cap at t >= 1; -0.0 and 0.0 give the same area
+        seen = []
+        cap = geo._cap_area
+        monkeypatch.setattr(geo, "_cap_area", lambda t: seen.append(t) or cap(t))
+        for side in (0.5, 1.0, 2.0, 10.0):
+            square = geo.SquareRegion(side)
+            coords = (0.0, 1.0, side / 2, side - 1.0, side)
+            for x in coords:
+                for y in coords:
+                    if square.contains((x, y)):
+                        area = geo.truncated_disk_area((x, y), square)
+                        assert 0.0 < area <= math.pi
+                        assert geo.truncated_disk_area((x or -0.0, y or -0.0), square) == area
+        assert len(seen) > 0 and max(seen) < 1.0
+
 
 class TestTruncatedOmittedArea:
     def test_self_coverage_is_zero(self):
@@ -269,6 +293,14 @@ class TestSectorFrame:
         with pytest.raises(ValueError):
             geo.SectorFrame(geo.Point2D(0, 0), 2)
 
+    @pytest.mark.parametrize(
+        "b,problem", [(1, "integer >= 2, got 1"), (10**400, "exceeds the float range")], ids=["b1", "b1e400"]
+    )
+    def test_b_outside_the_domain_rejected(self, b, problem):
+        # past the float range b ** (1/3) would overflow in the count
+        with pytest.raises(ValueError, match=problem):
+            geo.SectorFrame(geo.Point2D(0, 0), b)
+
 
 class TestSectorOf:
     @pytest.fixture()
@@ -299,6 +331,52 @@ class TestSectorOf:
         assert fam == "Q" and idx in (2, 3)  # ties resolve low modulo fp rounding
         exact = geo.sector_of(frame, (r, 0.0))
         assert exact == ("Q", 0)
+
+    @pytest.mark.parametrize(
+        "b,edges",
+        [
+            # count 1: the edges point straight up and straight down; the last
+            # point's quotient is the float just above -1/2, where t - 1/2
+            # would round to -1
+            (3, {(0, 1): ("Q", 0), (0, -1): ("Q", 0), (2.0**-52, -1): ("Q", 0)}),
+            # count 2: the diagonals, whose quotients are exactly 0.5, 1.5, -1.5, -0.5
+            (4, {(1, 1): ("Q", 0), (-1, 1): ("Q", 1), (-1, -1): ("R", 0), (1, -1): ("Q", 0)}),
+        ],
+    )
+    def test_exact_edges_go_to_the_lower_index_or_q0(self, b, edges):
+        frame = geo.SectorFrame(geo.Point2D(0.0, 0.0), b)
+        r = frame.delta / 2
+        assert {u: geo.sector_of(frame, (r * u[0], r * u[1])) for u in edges} == edges
+
+    @pytest.mark.parametrize("b", [3, 10, 1000])
+    def test_midpoints_read_in_angle_order(self, b):
+        # counterclockwise from angle 0: (Q, 0) ... (Q, count - 1), (R, 0) ... (R, count - 1)
+        frame = geo.SectorFrame(geo.Point2D(1.0, 2.0), b)
+        r = frame.delta / 2
+        labels = [
+            geo.sector_of(frame, (1.0 + r * math.cos(j * frame.theta), 2.0 + r * math.sin(j * frame.theta)))
+            for j in range(2 * frame.count)
+        ]
+        assert labels == [("Q", i) for i in range(frame.count)] + [("R", i) for i in range(frame.count)]
+
+    @pytest.mark.parametrize("b", [3, 10, 1000])
+    def test_both_sides_of_the_negative_axis_read_r0(self, b):
+        frame = geo.SectorFrame(geo.Point2D(0.0, 0.0), b)
+        r = frame.delta / 2
+        assert geo.sector_of(frame, (-r, 0.0)) == ("R", 0)  # angle pi
+        assert geo.sector_of(frame, (-r, -r * 2.0**-40)) == ("R", 0)  # just above -pi
+
+    @pytest.mark.parametrize("b", [3, 10, 1000])
+    def test_reflection_through_the_center_swaps_the_family(self, b):
+        c = (5.0, 5.0)
+        frame = geo.SectorFrame(geo.Point2D(*c), b)
+        rng = np.random.default_rng(b)
+        for i in range(frame.count):
+            a = (i + rng.uniform(-0.4, 0.4)) * frame.theta  # strictly inside (Q, i)
+            r = frame.delta * rng.uniform(0.1, 0.9)
+            p = (c[0] + r * math.cos(a), c[1] + r * math.sin(a))
+            assert geo.sector_of(frame, p) == ("Q", i)
+            assert geo.sector_of(frame, (2 * c[0] - p[0], 2 * c[1] - p[1])) == ("R", i)
 
     def test_partition_covers_small_disk(self, frame):
         rng = np.random.default_rng(8)

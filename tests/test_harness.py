@@ -38,6 +38,10 @@ class TestDefaultAlpha:
         with pytest.raises(ValueError):
             hz.default_alpha(100, "geometric")
 
+    def test_power_profile_needs_ln_n_above_one(self):
+        with pytest.raises(ValueError, match="power profile needs n >= 3, got 2"):
+            hz.default_alpha(2, "power")
+
 
 class TestSchedule:
     def test_derived_fields(self):
@@ -53,6 +57,16 @@ class TestSchedule:
         for n in range(16, 2000):
             with pytest.raises(ValueError, match=r"'power' alpha profile with ell = sqrt"):
                 hz.make_schedule(n, rgg.ell_sqrt(n), "power")
+
+    @pytest.mark.parametrize(
+        "n,ell,problem",
+        [(0, 10.0, "n must be >= 1"), (100, 0.0, "ell must be positive"), (100, -1.0, "ell must be positive"),
+         (100, math.nan, "ell must be positive")],
+        ids=["n0", "ell0", "ell-1", "ell-nan"],
+    )
+    def test_bad_size_rejected(self, n, ell, problem):
+        with pytest.raises(ValueError, match=problem):
+            hz.Schedule(n=n, ell=ell, alpha=1000.0)
 
     def test_narrow_habitat_warns(self):
         with pytest.warns(UserWarning, match="below ln n"):

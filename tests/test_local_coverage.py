@@ -16,7 +16,6 @@ CENTER = (5.0, 5.0)
 def _fixture_sample(blue, white=None, b_param=1000, center=CENTER):
     frame = SectorFrame(Point2D(*center), b_param)
     return lc.ColoredSample(
-        center=Point2D(*center),
         square=SQUARE,
         white=np.asarray(white if white is not None else np.empty((0, 2)), dtype=float),
         blue=np.asarray(blue, dtype=float),
@@ -92,6 +91,19 @@ class TestSampleColored:
             lc.sample_colored(CENTER, SQUARE, w=-1, b=10, seed=0)
         with pytest.raises(ValueError):
             lc.sample_colored(CENTER, SQUARE, w=0, b=0, seed=0)
+
+    def test_b_past_the_float_range_rejected_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(lc, "sample_truncated_disk", no_draw)
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            lc.sample_colored(CENTER, SQUARE, w=0, b=10**400, seed=0)
+
+    def test_center_is_the_frame_center(self):
+        s = lc.sample_colored([5, 4.5], SQUARE, w=3, b=3, seed=1)
+        assert s.center is s.frame.center
+        assert s.center == Point2D(5.0, 4.5)
 
 
 def _reference_truncated_disk(center, square, count, rng):
@@ -310,6 +322,15 @@ class TestBluePairDominates:
         found, _ = lc.blue_pair_dominates(s)
         assert not found
 
+    def test_matched_pair_more_than_one_apart_does_not_dominate(self):
+        # the b = 3 frame has one sector pair: (Q, 0) and (R, 0) match, and
+        # both points cover themselves, but they are 1.2 apart
+        s = _fixture_sample(blue=[[5.6, 5.0], [4.4, 5.0]], b_param=3)
+        st = lc.sector_stats(s)
+        assert (st.tau, st.first_pair) == (1, (0, 1))
+        assert lc.x_b_indicator(s, st) == 0
+        assert lc.blue_pair_dominates(s) == (False, None)
+
     def test_pilot_calibrated_rate_at_b_1e4(self):
         # asymptotically the success probability tends to one, but at
         # reachable b it is dominated by the chance of seeing two core
@@ -370,6 +391,10 @@ class TestLocalCoverageProbability:
         with pytest.raises(ValueError):
             lc.local_coverage_probability(CENTER, SQUARE, w=0, b=2, trials=0, seed=0)
 
+    def test_wilson_interval_needs_a_trial(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            wilson_interval(0, 0)
+
     def test_failure_rate_trend_is_non_increasing(self):
         rates = []
         for b in (10**3, 10**4):
@@ -420,6 +445,10 @@ class TestCoreTail:
             rep = lc.z_tail_check(center, SQUARE, b=b, trials=2, seed=1)
             B = max(b, 3)
             assert rep.threshold == 2.0 * lam * B ** (1.0 / 3.0) / math.log(B) ** 2
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            lc.z_tail_check(CENTER, SQUARE, b=30, trials=0, seed=0)
 
     def test_b_1_rejected_before_any_trial(self, monkeypatch):
         # the Chernoff bound divides by ln b, which is 0 at b = 1

@@ -82,6 +82,16 @@ class TestBuildUdg:
         with pytest.raises(ValueError):
             rgg.build_udg(np.array([[1.0, 5.0]]), SquareRegion(3.0))
 
+    @pytest.mark.parametrize(
+        "pts,problem",
+        [(np.ones((4, 3)), r"must be an \(n, 2\) array, got shape \(4, 3\)"),
+         ([[1.0, 1.0], [np.nan, 2.0]], "non-finite coordinates")],
+        ids=["three-columns", "nan"],
+    )
+    def test_malformed_points_rejected(self, pts, problem):
+        with pytest.raises(ValueError, match=problem):
+            rgg.build_udg(np.array(pts), SquareRegion(3.0))
+
     def test_matches_brute_force_2000(self):
         sq = SquareRegion(18.0)
         pts = rgg.sample_points(2000, sq, seed=55)
